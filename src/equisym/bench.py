@@ -10,6 +10,9 @@ multiplication by the transpose, so the target map is equivariant:
   noise-fed MLP projected onto O(d) by Gram-Schmidt, with a Haar base case
 - canonical_deterministic: deterministic gamma = Gram-Schmidt of the input
 
+All four share one forward path, InversionModel._forward, and differ only
+in the coset draw _draw_coset.
+
 Training minimizes the Jensen upper bound: one reparameterised draw per
 sample, loss l(y, yhat) = ||y^-1 yhat - I||_F, averaged over the batch.
 """
@@ -23,9 +26,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import nn
+from .groups import _haar_orthogonal
 from .stochmap import RandomStream
 
 VARIANTS = ("plain_mlp", "sym_haar", "sym_recursive", "canonical_deterministic")
+GS_RETRIES = 3  # fresh gamma-noise draws before a near-singular backbone output is fatal
 
 
 class ConfigurationError(ValueError):
@@ -34,12 +39,6 @@ class ConfigurationError(ValueError):
 
 class DivergenceError(RuntimeError):
     pass
-
-
-@dataclass
-class TaskSample:
-    X: np.ndarray
-    Y: np.ndarray  # = X^-1
 
 
 @dataclass
@@ -63,7 +62,7 @@ class TrainConfig:
         for name in ("d", "hidden", "steps", "batch_size", "n_mc_eval", "n_test"):
             if getattr(self, name) < 0 or (name in ("d", "hidden", "batch_size") and getattr(self, name) == 0):
                 raise ConfigurationError(f"config field {name} must be positive")
-        if self.lr <= 0 or self.condition_cap <= 0:
+        if not (self.lr > 0 and self.condition_cap > 0):  # also rejects NaN
             raise ConfigurationError("lr and condition_cap must be positive")
 
 
@@ -72,17 +71,13 @@ class TrainConfig:
 
 
 def _haar_batch(d: int, B: int, stream: RandomStream) -> np.ndarray:
-    """Stack of B Haar-distributed O(d) matrices (QR sign-fix construction)."""
-    M = stream.normal((B, d, d))
-    Q, R = np.linalg.qr(M)
-    signs = np.sign(np.einsum("bii->bi", R))
-    signs[signs == 0] = 1.0
-    return Q * signs[:, None, :]
+    """Stack of B Haar-distributed O(d) matrices."""
+    return _haar_orthogonal(d, stream, False, batch=(B,))
 
 
 def sample_batch(d: int, B: int, stream: RandomStream,
-                 condition_cap: float = 1e4) -> Tuple[np.ndarray, np.ndarray]:
-    """B Gaussian matrices with cond <= cap, plus their inverses."""
+                 condition_cap: float = 1e4) -> np.ndarray:
+    """B Gaussian matrices with cond <= cap; the targets are their inverses."""
     X = np.empty((B, d, d))
     filled = 0
     rejections = 0
@@ -100,13 +95,7 @@ def sample_batch(d: int, B: int, stream: RandomStream,
             rejections = 0
         X[filled:filled + len(ok)] = ok
         filled += len(ok)
-    Y = np.linalg.inv(X)
-    return X, Y
-
-
-def sample_task(d: int, stream: RandomStream, condition_cap: float = 1e4) -> TaskSample:
-    X, Y = sample_batch(d, 1, stream, condition_cap)
-    return TaskSample(X=X[0], Y=Y[0])
+    return X
 
 
 def loss(y: np.ndarray, yhat: np.ndarray) -> float:
@@ -118,10 +107,10 @@ def loss(y: np.ndarray, yhat: np.ndarray) -> float:
     return float(np.linalg.norm(np.linalg.solve(y, yhat) - np.eye(d)))
 
 
-def _batch_losses(Yinv: np.ndarray, Yhat: np.ndarray) -> np.ndarray:
-    """Losses for a batch given the precomputed inverses Yinv = y^-1 (= X)."""
-    d = Yinv.shape[-1]
-    R = Yinv @ Yhat - np.eye(d)
+def _batch_losses(X: np.ndarray, Yhat: np.ndarray) -> np.ndarray:
+    """Losses for a batch of inputs X, whose targets y = X^-1 give y^-1 = X."""
+    d = X.shape[-1]
+    R = X @ Yhat - np.eye(d)
     return np.linalg.norm(R, axis=(1, 2))
 
 
@@ -134,7 +123,6 @@ class InversionModel:
     variant: str
     d: int
     hidden: int = 64
-    gs_retries: int = 3
     k_sizes: Tuple[int, ...] = field(init=False)
     g0_sizes: Optional[Tuple[int, ...]] = field(init=False)
 
@@ -185,7 +173,7 @@ class InversionModel:
         if couple is not None:
             C1 = couple @ C1
         Z1 = np.transpose(C1, (0, 2, 1)) @ X
-        for attempt in range(self.gs_retries):
+        for attempt in range(GS_RETRIES):
             eta = stream.split(1 + attempt).normal((B, d))
             inp = np.concatenate([Z1.reshape(B, d * d), eta], axis=1)
             U_flat, mlp_cache = nn.mlp_forward(pg, inp)
@@ -204,6 +192,25 @@ class InversionModel:
 
     # -- forward ----------------------------------------------------------
 
+    def _forward(self, params, X, stream: RandomStream, couple=None):
+        """Draw C ~ gamma(X), un-act Z = C^T X, apply k, re-act Yhat = A C^T.
+
+        plain_mlp is the case C = None (no group action).  Returns
+        (Yhat, cache); the cache holds what the backward pass reads.
+        """
+        pk, pg = self._split_params(params)
+        B, d = X.shape[0], self.d
+        if couple is not None:
+            X = couple @ X
+        C, coset_cache = self._draw_coset(pg, X, stream, couple=couple)
+        Ct = None if C is None else np.transpose(C, (0, 2, 1))
+        Z = X if C is None else Ct @ X
+        A_flat, k_cache = nn.mlp_forward(pk, Z.reshape(B, d * d))
+        A = A_flat.reshape(B, d, d)
+        Yhat = A if C is None else A @ Ct
+        cache = {"pk": pk, "pg": pg, "C": C, "coset": coset_cache, "k": k_cache, "A": A}
+        return Yhat, cache
+
     def draw(self, params, X, stream: RandomStream, couple=None) -> np.ndarray:
         """One reparameterised prediction per batch row.
 
@@ -211,18 +218,7 @@ class InversionModel:
         which makes the draw exactly equal Q . (draw at X) for the
         symmetrised variants.
         """
-        pk, pg = self._split_params(params)
-        B, d = X.shape[0], self.d
-        if couple is not None:
-            X = couple @ X
-        C, _ = self._draw_coset(pg, X, stream, couple=couple)
-        if C is None:
-            A, _ = nn.mlp_forward(pk, X.reshape(B, d * d))
-            return A.reshape(B, d, d)
-        Z = np.transpose(C, (0, 2, 1)) @ X
-        A, _ = nn.mlp_forward(pk, Z.reshape(B, d * d))
-        A = A.reshape(B, d, d)
-        return A @ np.transpose(C, (0, 2, 1))
+        return self._forward(params, X, stream, couple)[0]
 
     def predict(self, params, X, n_mc: int, stream: RandomStream, couple=None) -> np.ndarray:
         """Averaged predictor: mean over n_mc draws (1 draw if deterministic)."""
@@ -235,57 +231,42 @@ class InversionModel:
 
     # -- forward + backward ----------------------------------------------
 
-    def objective_and_grads(self, params, X, Yinv, stream: RandomStream):
+    def objective_and_grads(self, params, X, stream: RandomStream):
         """Jensen objective (one draw per sample) and exact parameter grads."""
-        pk, pg = self._split_params(params)
+        if len(X) == 0:
+            raise ValueError("objective_and_grads needs a nonempty batch")
         B, d = X.shape[0], self.d
-        C, coset_cache = self._draw_coset(pg, X, stream)
-        if C is None:
-            Z = X
-        else:
-            Z = np.transpose(C, (0, 2, 1)) @ X
-        A_flat, k_cache = nn.mlp_forward(pk, Z.reshape(B, d * d))
-        A = A_flat.reshape(B, d, d)
-        Yhat = A if C is None else A @ np.transpose(C, (0, 2, 1))
+        Yhat, cache = self._forward(params, X, stream)
 
-        losses = _batch_losses(Yinv, Yhat)
+        losses = _batch_losses(X, Yhat)
         if not np.all(np.isfinite(losses)):
             bad = int(np.argmax(~np.isfinite(losses)))
             raise DivergenceError(f"non-finite loss at batch index {bad}")
         objective = float(losses.mean())
 
-        # dl/dYhat for l = ||Yinv Yhat - I||_F, averaged over the batch
-        R = Yinv @ Yhat - np.eye(d)
+        # dl/dYhat for l = ||X Yhat - I||_F, averaged over the batch
+        R = X @ Yhat - np.eye(d)
         denom = np.where(losses > 1e-30, losses, 1.0)
-        dYhat = np.transpose(Yinv, (0, 2, 1)) @ R / denom[:, None, None] / B
+        dYhat = np.transpose(X, (0, 2, 1)) @ R / denom[:, None, None] / B
 
-        if C is None:
-            dA = dYhat
-        else:
-            dA = dYhat @ C
-        grads_k, dZ_flat = nn.mlp_backward(pk, k_cache, dA.reshape(B, d * d))
-        grads = grads_k
+        C = cache["C"]
+        dA = dYhat if C is None else dYhat @ C
+        grads, dZ_flat = nn.mlp_backward(cache["pk"], cache["k"], dA.reshape(B, d * d))
 
         if self.variant == "sym_recursive":
             # Yhat = A C^T and Z = C^T X both depend on C = C1 Qu
-            dC = np.transpose(dYhat, (0, 2, 1)) @ A
+            coset_cache = cache["coset"]
+            dC = np.transpose(dYhat, (0, 2, 1)) @ cache["A"]
             dZ = dZ_flat.reshape(B, d, d)
             dC += X @ np.transpose(dZ, (0, 2, 1))
             dQu = np.transpose(coset_cache["C1"], (0, 2, 1)) @ dC
             dU = nn.gram_schmidt_backward(coset_cache["gs_cache"], dQu)
             grads_g0, _ = nn.mlp_backward(
-                pg, coset_cache["mlp_cache"], dU.reshape(B, d * d)
+                cache["pg"], coset_cache["mlp_cache"], dU.reshape(B, d * d)
             )
-            grads = grads_k + grads_g0
+            grads = grads + grads_g0
 
         return objective, grads
-
-
-def jensen_objective(model: InversionModel, params, X, Yinv, stream: RandomStream):
-    """Monte Carlo Jensen upper bound on the batch plus its gradient record."""
-    if len(X) == 0:
-        raise ValueError("jensen_objective needs a nonempty batch")
-    return model.objective_and_grads(params, X, Yinv, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +290,14 @@ def train(config: TrainConfig) -> TrainResult:
     history: List[Tuple[int, float]] = []
     for step in range(config.steps):
         s = root.split(1).split(step)
-        X, _ = sample_batch(config.d, config.batch_size, s.split(0), config.condition_cap)
+        X = sample_batch(config.d, config.batch_size, s.split(0), config.condition_cap)
         try:
-            objective, grads = model.objective_and_grads(params, X, X, s.split(1))
-        except DivergenceError:
+            objective, grads = model.objective_and_grads(params, X, s.split(1))
+            if not np.isfinite(objective) or objective > 1e6:
+                raise DivergenceError(f"objective {objective} at step {step + 1}")
+            params, state = nn.adam_step(params, grads, state, config.lr)
+        except (DivergenceError, nn.GradientError):
             return TrainResult(config, params, history, diverged=True)
-        if not np.isfinite(objective) or objective > 1e6:
-            return TrainResult(config, params, history, diverged=True)
-        params, state = nn.adam_step(params, grads, state, config.lr)
         history.append((step + 1, objective))
     return TrainResult(config, params, history)
 
@@ -342,7 +323,7 @@ def evaluate(model: InversionModel, params, n_test: int, n_mc: int,
              stream: RandomStream, condition_cap: float = 1e4,
              n_gap_pairs: int = 100) -> Tuple[float, float]:
     """Mean MC-averaged test loss and mean coupled equivariance gap."""
-    X, _ = sample_batch(model.d, n_test, stream.split(0), condition_cap)
+    X = sample_batch(model.d, n_test, stream.split(0), condition_cap)
     Yhat = model.predict(params, X, n_mc, stream.split(1))
     mean_loss = float(_batch_losses(X, Yhat).mean())
 

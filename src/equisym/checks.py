@@ -288,7 +288,7 @@ def check_model_gaps(dims=(2, 3), n_pairs: int = 100, tol: float = 1e-6,
             model = bench.InversionModel(variant, d, hidden=16)
             stream = RandomStream(seed + d)
             params = model.init(stream.split(0))
-            X, _ = bench.sample_batch(d, n_pairs, stream.split(1))
+            X = bench.sample_batch(d, n_pairs, stream.split(1))
             Qs = bench._haar_batch(d, n_pairs, stream.split(2))
             worst = 0.0
             for i in range(n_pairs):
@@ -377,14 +377,14 @@ def check_end_to_end_gradients(seed: int = DEFAULT_SEED) -> CheckResult:
     model = bench.InversionModel("sym_recursive", d=2, hidden=8)
     stream = RandomStream(seed)
     params = model.init(stream.split(0))
-    X, _ = bench.sample_batch(2, 4, stream.split(1))
+    X = bench.sample_batch(2, 4, stream.split(1))
     frozen = stream.split(2)
 
     def objective(p):
-        obj, _ = model.objective_and_grads(p, X, X, frozen)
+        obj, _ = model.objective_and_grads(p, X, frozen)
         return obj
 
-    obj, grads = model.objective_and_grads(params, X, X, frozen)
+    obj, grads = model.objective_and_grads(params, X, frozen)
     fd = finite_difference_grads(objective, params)
     worst = max(_relative_error(g, f) for g, f in zip(grads, fd))
     return CheckResult("end-to-end jensen gradient vs finite differences",

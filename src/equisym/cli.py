@@ -1,4 +1,4 @@
-"""Command-line interface: property checks, training, evaluation, sweeps.
+"""Command-line interface: property checks, training with evaluation, sweeps.
 
 Exit codes: 0 success, 1 property/assertion failure, 2 usage error.
 Config files are flat ``key = value`` lines with ``#`` comments; flags
@@ -12,12 +12,12 @@ import argparse
 import os
 import statistics
 import sys
-from dataclasses import fields
-from typing import List, Optional
+from typing import List, Optional, get_type_hints
 
 from . import checks as checks_mod
 from . import nn
 from .bench import (
+    ConfigurationError,
     TrainConfig,
     VARIANTS,
     run_experiment,
@@ -30,9 +30,7 @@ class UsageError(Exception):
     pass
 
 
-CONFIG_TYPES = {f.name: f.type for f in fields(TrainConfig)}
-_INT_KEYS = {"d", "hidden", "steps", "batch_size", "n_mc_eval", "seed", "n_test"}
-_FLOAT_KEYS = {"lr", "condition_cap"}
+CONFIG_TYPES = get_type_hints(TrainConfig)  # field name -> int, float or str
 
 
 def parse_config_file(path: str) -> dict:
@@ -55,34 +53,31 @@ def coerce_config(raw: dict) -> dict:
     for key, value in raw.items():
         if value is None:
             continue
-        if key in _INT_KEYS:
-            out[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            out[key] = float(value)
-        elif key == "variant":
-            if str(value) not in VARIANTS:
-                raise UsageError(f"unknown variant {value!r}")
-            out[key] = str(value)
-        else:
+        if key not in CONFIG_TYPES:
             raise UsageError(f"unknown config key {key!r}")
+        try:
+            out[key] = CONFIG_TYPES[key](value)
+        except ValueError:
+            raise UsageError(
+                f"config key {key!r} needs {CONFIG_TYPES[key].__name__}, got {value!r}")
+        if key == "variant" and out[key] not in VARIANTS:
+            raise UsageError(f"unknown variant {value!r}")
     return out
 
 
-def build_config(args) -> TrainConfig:
+def build_config(args, **cell) -> TrainConfig:
+    """Config file, then flags, then the sweep cell's values, validated."""
     values = {}
     if getattr(args, "config", None):
         if not os.path.exists(args.config):
             raise UsageError(f"config file not found: {args.config}")
         values.update(parse_config_file(args.config))
-    overrides = {
-        key: getattr(args, key)
-        for key in CONFIG_TYPES
-        if getattr(args, key, None) is not None
-    }
-    values.update(coerce_config({k: v for k, v in overrides.items()}))
+    overrides = {key: getattr(args, key, None) for key in CONFIG_TYPES}
+    overrides.update(cell)
+    values.update(coerce_config(overrides))
     try:
         return TrainConfig(**values)
-    except Exception as exc:
+    except ConfigurationError as exc:
         raise UsageError(str(exc))
 
 
@@ -94,11 +89,9 @@ def resolve_outdir(args) -> str:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--variant", help=f"one of {', '.join(VARIANTS)}")
-    for key in sorted(_INT_KEYS):
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
-    for key in sorted(_FLOAT_KEYS):
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
+    for key, type_ in CONFIG_TYPES.items():
+        help_ = f"one of {', '.join(VARIANTS)}" if key == "variant" else None
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=type_, help=help_)
     p.add_argument("--out", help="output directory (or set EQUISYM_OUT)")
 
 
@@ -109,11 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run property suites")
     p_check.add_argument("suite", choices=sorted(checks_mod.SUITES) + ["all"])
 
-    p_train = sub.add_parser("train", help="train one model variant")
+    p_train = sub.add_parser("train", help="train and evaluate one model variant")
     _add_config_flags(p_train)
-
-    p_eval = sub.add_parser("eval", help="train + evaluate, write summary")
-    _add_config_flags(p_eval)
 
     p_sweep = sub.add_parser("sweep", help="grid over variants/dims/seeds")
     _add_config_flags(p_sweep)
@@ -135,7 +125,7 @@ def run_check(suite: str, out=None) -> int:
     return 0 if n_fail == 0 else 1
 
 
-def run_train(args, evaluate: bool = False, out=None) -> int:
+def run_train(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     config = build_config(args)
     outdir = resolve_outdir(args)
@@ -160,30 +150,26 @@ def run_train(args, evaluate: bool = False, out=None) -> int:
 def run_sweep(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     outdir = resolve_outdir(args)
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    dims = [int(v) for v in args.dims.split(",") if v.strip()]
-    seeds = [int(v) for v in args.seeds.split(",") if v.strip()]
+    variants, dims, seeds = (
+        [v.strip() for v in arg.split(",") if v.strip()]
+        for arg in (args.variants, args.dims, args.seeds)
+    )
     if not variants or not dims or not seeds:
         raise UsageError("sweep needs nonempty variants, dims, and seeds")
-    for v in variants:
-        if v not in VARIANTS:
-            raise UsageError(f"unknown variant {v!r}")
+    configs = [build_config(args, variant=variant, d=d, seed=seed)
+               for variant in variants for d in dims for seed in seeds]
 
     rows = []
-    for variant in variants:
-        for d in dims:
-            for seed in seeds:
-                base = {k: getattr(args, k, None) for k in CONFIG_TYPES}
-                base.update({"variant": variant, "d": d, "seed": seed})
-                config = TrainConfig(**coerce_config(base))
-                try:
-                    result = run_experiment(config)
-                    rows.append((variant, d, seed, result["final_loss"],
-                                 result["equiv_gap"],
-                                 "diverged" if result["diverged"] else "ok"))
-                except Exception as exc:  # record the failure, keep sweeping
-                    rows.append((variant, d, seed, float("nan"), float("nan"),
-                                 f"error:{type(exc).__name__}"))
+    for config in configs:
+        variant, d, seed = config.variant, config.d, config.seed
+        try:
+            result = run_experiment(config)
+            rows.append((variant, d, seed, result["final_loss"],
+                         result["equiv_gap"],
+                         "diverged" if result["diverged"] else "ok"))
+        except Exception as exc:  # record the failure, keep sweeping
+            rows.append((variant, d, seed, float("nan"), float("nan"),
+                         f"error:{type(exc).__name__}"))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     path = os.path.join(outdir, "sweep.csv")
     with open(path, "w") as fh:
@@ -212,8 +198,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return run_check(args.suite)
         if args.command == "train":
             return run_train(args)
-        if args.command == "eval":
-            return run_train(args, evaluate=True)
         if args.command == "sweep":
             return run_sweep(args)
     except UsageError as exc:

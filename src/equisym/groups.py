@@ -65,14 +65,6 @@ class GroupDescriptor:
         return self.haar is not None
 
 
-def mul(G: GroupDescriptor, g, h):
-    return G.mul(g, h)
-
-
-def inv(G: GroupDescriptor, g):
-    return G.inv(g)
-
-
 def haar_sample(G: GroupDescriptor, stream: RandomStream):
     if G.haar is None:
         raise NoHaarError(f"group {G.name} has no Haar measure (not compact)")
@@ -109,13 +101,16 @@ def _reorthonormalize(Q: np.ndarray) -> np.ndarray:
     return Q
 
 
-def _haar_orthogonal(d: int, stream: RandomStream, special: bool) -> np.ndarray:
-    M = stream.normal((d, d))
-    Q, R = np.linalg.qr(M)
-    Q = Q * np.sign(np.diag(R))
+def _haar_orthogonal(d: int, stream: RandomStream, special: bool,
+                     batch: tuple = ()) -> np.ndarray:
+    """Haar on O(d), or SO(d) if special; a leading batch shape draws a stack
+    of independent samples (O(d) only)."""
+    if special and batch:
+        raise ValueError("batched Haar sampling is for O(d) only")
+    Q, R = np.linalg.qr(stream.normal(batch + (d, d)))
+    Q = Q * np.copysign(1.0, R.diagonal(0, -2, -1))[..., None, :]
     if special and np.linalg.det(Q) < 0:
-        Q = Q.copy()
-        Q[:, 0] = -Q[:, 0]
+        Q[:, 0] *= -1
     return Q
 
 

@@ -1,5 +1,5 @@
 """Neural primitives: tanh MLP with manual backprop, differentiable
-modified Gram-Schmidt, Gaussian noise, Adam, and parameter checkpoints.
+modified Gram-Schmidt, Adam, and parameter checkpoints.
 
 Forward/backward accept either a single input vector (n,) or a batch
 (B, n); Gram-Schmidt likewise works on a single (d, d) matrix or a stack
@@ -177,11 +177,7 @@ def gram_schmidt_project(M) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Noise and optimizer
-
-
-def gaussian_noise(shape, stream: RandomStream) -> np.ndarray:
-    return stream.normal(shape)
+# Optimizer
 
 
 @dataclass

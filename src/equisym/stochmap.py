@@ -136,10 +136,6 @@ def lift_deterministic(f: Callable, domain: Space, codomain: Space) -> Stochasti
     )
 
 
-def constant_map(value, domain: Space, codomain: Space) -> StochasticMap:
-    return lift_deterministic(lambda x: value, domain, codomain)
-
-
 def finite_map(outcomes: Callable, domain: Space, codomain: Space) -> StochasticMap:
     """Build a finitely supported map from an outcome function.
 

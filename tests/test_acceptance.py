@@ -107,7 +107,7 @@ def test_criterion_7_jensen_bound_statistical():
     model = bench.InversionModel("sym_haar", d=2, hidden=16)
     stream = RandomStream(checks.DEFAULT_SEED)
     params = model.init(stream.split(0))
-    x, _ = bench.sample_batch(2, 1, stream.split(1))
+    x = bench.sample_batch(2, 1, stream.split(1))
     X = np.tile(x, (n, 1, 1))
     draws = model.draw(params, X, stream.split(2))
     losses = bench._batch_losses(X, draws)
@@ -162,7 +162,7 @@ def _haar_draw_losses(params, seed):
     config = bench.TrainConfig(variant="sym_haar", seed=seed, **ORDERING_CONFIG)
     model = bench.InversionModel(config.variant, config.d, config.hidden)
     eval_stream = RandomStream(seed).split(2)  # as in bench.run_experiment
-    X, _ = bench.sample_batch(config.d, config.n_test, eval_stream.split(0),
+    X = bench.sample_batch(config.d, config.n_test, eval_stream.split(0),
                               config.condition_cap)
     draw_streams = eval_stream.split(1)  # as in bench.evaluate -> predict
     single, acc = 0.0, None

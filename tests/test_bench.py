@@ -20,15 +20,14 @@ class TestConfig:
             bench.TrainConfig(d=0)
         with pytest.raises(bench.ConfigurationError):
             bench.TrainConfig(lr=0.0)
+        for name in ("lr", "condition_cap"):
+            with pytest.raises(bench.ConfigurationError):
+                bench.TrainConfig(**{name: float("nan")})
 
 
 class TestData:
-    def test_inverse_pairs(self):
-        X, Y = bench.sample_batch(3, 20, RandomStream(0))
-        assert np.max(np.abs(X @ Y - np.eye(3))) <= 1e-8
-
     def test_condition_cap_respected(self):
-        X, _ = bench.sample_batch(2, 200, RandomStream(1), condition_cap=50.0)
+        X = bench.sample_batch(2, 200, RandomStream(1), condition_cap=50.0)
         assert np.all(np.linalg.cond(X) <= 50.0)
 
     def test_condition_number_orthogonally_invariant(self):
@@ -36,7 +35,7 @@ class TestData:
         # law O(d)-invariant; criterion 8's sym_haar assertion rests on it
         s = RandomStream(9)
         for d in (2, 3):
-            X, _ = bench.sample_batch(d, 200, s.split(d))
+            X = bench.sample_batch(d, 200, s.split(d))
             Qs = bench._haar_batch(d, 200, s.split(10 + d))
             np.testing.assert_allclose(np.linalg.cond(Qs @ X), np.linalg.cond(X),
                                        rtol=1e-9, atol=0)
@@ -45,7 +44,7 @@ class TestData:
         # an O(d)-invariant law has E[X] = 0 and E[X X^T] = c I; checked
         # within 5 standard errors
         n = 20000
-        X, _ = bench.sample_batch(2, n, RandomStream(10))
+        X = bench.sample_batch(2, n, RandomStream(10))
         assert np.max(np.abs(X.mean(axis=0))) <= 5 / np.sqrt(n)
         S = X @ np.transpose(X, (0, 2, 1))
         se = 5 * S.reshape(n, 4).std(axis=0).max() / np.sqrt(n)
@@ -56,10 +55,6 @@ class TestData:
         with pytest.raises(bench.ConfigurationError):
             bench.sample_batch(2, 4, RandomStream(2), condition_cap=1e-6)
 
-    def test_sample_task(self):
-        t = bench.sample_task(2, RandomStream(3))
-        assert np.allclose(t.X @ t.Y, np.eye(2), atol=1e-10)
-
     def test_haar_batch_orthogonal(self):
         Qs = bench._haar_batch(3, 50, RandomStream(4))
         err = np.max(np.abs(np.transpose(Qs, (0, 2, 1)) @ Qs - np.eye(3)))
@@ -68,7 +63,7 @@ class TestData:
 
 class TestLoss:
     def test_zero_at_truth(self):
-        X, Y = bench.sample_batch(2, 1, RandomStream(5))
+        Y = np.linalg.inv(bench.sample_batch(2, 1, RandomStream(5)))
         assert bench.loss(Y[0], Y[0]) <= 1e-12
 
     def test_identity_target_frobenius(self):
@@ -79,7 +74,8 @@ class TestLoss:
     def test_orthogonally_invariant(self):
         # l((Qx)^-1, yhat Q^T) = l(x^-1, yhat)
         s = RandomStream(6)
-        X, Y = bench.sample_batch(2, 1, s.split(0))
+        X = bench.sample_batch(2, 1, s.split(0))
+        Y = np.linalg.inv(X)
         yhat = s.split(1).normal((2, 2))
         Q = bench._haar_batch(2, 1, s.split(2))[0]
         lhs = bench.loss(np.linalg.inv(Q @ X[0]), yhat @ Q.T)
@@ -90,7 +86,8 @@ class TestLoss:
             bench.loss(np.zeros((2, 2)), np.eye(2))
 
     def test_batch_losses_match_scalar(self):
-        X, Y = bench.sample_batch(2, 8, RandomStream(7))
+        X = bench.sample_batch(2, 8, RandomStream(7))
+        Y = np.linalg.inv(X)
         Yhat = RandomStream(8).normal((8, 2, 2))
         batched = bench._batch_losses(X, Yhat)
         for i in range(8):
@@ -116,7 +113,7 @@ class TestModel:
     def test_draw_shape_and_reproducibility(self, variant):
         m = bench.InversionModel(variant, d=2, hidden=8)
         params = m.init(RandomStream(0))
-        X, _ = bench.sample_batch(2, 4, RandomStream(1))
+        X = bench.sample_batch(2, 4, RandomStream(1))
         a = m.draw(params, X, RandomStream(2))
         b = m.draw(params, X, RandomStream(2))
         assert a.shape == (4, 2, 2)
@@ -125,7 +122,7 @@ class TestModel:
     def test_coupled_draw_is_exactly_equivariant(self):
         m = bench.InversionModel("sym_haar", d=2, hidden=8)
         params = m.init(RandomStream(0))
-        X, _ = bench.sample_batch(2, 4, RandomStream(1))
+        X = bench.sample_batch(2, 4, RandomStream(1))
         Q = bench._haar_batch(2, 1, RandomStream(2))[0]
         coupled = m.draw(params, X, RandomStream(3), couple=Q)
         plain = m.draw(params, X, RandomStream(3))
@@ -134,7 +131,7 @@ class TestModel:
     def test_plain_mlp_is_not_equivariant(self):
         m = bench.InversionModel("plain_mlp", d=2, hidden=8)
         params = m.init(RandomStream(0))
-        X, _ = bench.sample_batch(2, 1, RandomStream(1))
+        X = bench.sample_batch(2, 1, RandomStream(1))
         Q = bench._haar_batch(2, 1, RandomStream(2))[0]
         gap = bench.equivariance_gap(m, params, X[0], Q, RandomStream(3))
         assert gap > 1e-3
@@ -142,7 +139,7 @@ class TestModel:
     def test_gap_rejects_non_orthogonal(self):
         m = bench.InversionModel("sym_haar", d=2, hidden=8)
         params = m.init(RandomStream(0))
-        X, _ = bench.sample_batch(2, 1, RandomStream(1))
+        X = bench.sample_batch(2, 1, RandomStream(1))
         with pytest.raises(ValueError):
             bench.equivariance_gap(m, params, X[0], np.diag([2.0, 1.0]),
                                    RandomStream(2))
@@ -154,7 +151,7 @@ class TestModel:
     def test_predict_averages_draws(self):
         m = bench.InversionModel("sym_haar", d=2, hidden=8)
         params = m.init(RandomStream(0))
-        X, _ = bench.sample_batch(2, 3, RandomStream(1))
+        X = bench.sample_batch(2, 3, RandomStream(1))
         stream = RandomStream(2)
         mean = m.predict(params, X, 5, stream)
         acc = sum(m.draw(params, X, stream.split(i)) for i in range(5))
@@ -169,14 +166,14 @@ class TestGradients:
         m = bench.InversionModel(variant, d=2, hidden=6)
         stream = RandomStream(11)
         params = m.init(stream.split(0))
-        X, _ = bench.sample_batch(2, 3, stream.split(1))
+        X = bench.sample_batch(2, 3, stream.split(1))
         frozen = stream.split(2)
 
         def f(p):
-            obj, _ = m.objective_and_grads(p, X, X, frozen)
+            obj, _ = m.objective_and_grads(p, X, frozen)
             return obj
 
-        obj, grads = m.objective_and_grads(params, X, X, frozen)
+        obj, grads = m.objective_and_grads(params, X, frozen)
         fd = finite_difference_grads(f, params)
         worst = max(_relative_error(g, h) for g, h in zip(grads, fd))
         assert worst <= 1e-4
@@ -189,8 +186,7 @@ class TestGradients:
         m = bench.InversionModel("plain_mlp", d=2, hidden=4)
         params = m.init(RandomStream(0))
         with pytest.raises(ValueError):
-            bench.jensen_objective(m, params, np.zeros((0, 2, 2)),
-                                   np.zeros((0, 2, 2)), RandomStream(1))
+            m.objective_and_grads(params, np.zeros((0, 2, 2)), RandomStream(1))
 
 
 class TestTraining:
@@ -211,6 +207,65 @@ class TestTraining:
         b = bench.train(config)
         assert a.history == b.history
         assert all(np.array_equal(p, q) for p, q in zip(a.params, b.params))
+
+    # 20-step objectives per variant (d=2, hidden 8, B=16, seed 7), recorded
+    # before the forward path was shared between draw and
+    # objective_and_grads; any change to stream splitting, the gamma draws
+    # or the chain rule moves them
+    PINNED_HISTORY = {
+        "plain_mlp": [
+            1.51165171311282, 1.47278738665037, 1.51416084372685, 1.47284013318268,
+            1.50115805444853, 1.49556720231248, 1.47382211246778, 1.54269637756781,
+            1.51393693827205, 1.53269798388935, 1.52984548355065, 1.54152318955056,
+            1.50736645568408, 1.50190987047024, 1.56387064391903, 1.5077356293637,
+            1.55157514144813, 1.54955425375295, 1.56841599283026, 1.46990481181989,
+        ],
+        "sym_haar": [
+            1.46303865991934, 1.51108641640917, 1.45415269995621, 1.49919261019189,
+            1.52385454768718, 1.55292004324701, 1.52833590601738, 1.56708255467597,
+            1.47112955083295, 1.52334334526645, 1.53714155237569, 1.51937747186688,
+            1.49479192459661, 1.56742710549264, 1.50760687966625, 1.47116379020138,
+            1.53066295515776, 1.50660126827197, 1.60258576490627, 1.54447278922737,
+        ],
+        "sym_recursive": [
+            1.48514529566544, 1.52287789183042, 1.48397311349123, 1.52814203778809,
+            1.49952723442395, 1.54220504482226, 1.54721840363854, 1.5328163338773,
+            1.53591567927486, 1.49108762715527, 1.54859047008569, 1.47760847835617,
+            1.49731902898027, 1.48816425100831, 1.53119956058789, 1.49058207045826,
+            1.49089653355003, 1.51514574523377, 1.53912760470172, 1.51059478003122,
+        ],
+        "canonical_deterministic": [
+            1.48458053391888, 1.49248704488109, 1.49539969096808, 1.51370158483728,
+            1.51986189709992, 1.50470366502067, 1.5209191901258, 1.5408929630022,
+            1.49940815607192, 1.50478095411409, 1.51936117579097, 1.50552842347508,
+            1.49522271966621, 1.4971678329646, 1.52307690092823, 1.48938421600977,
+            1.50569896160573, 1.4891658539924, 1.52590152202758, 1.50490287564793,
+        ],
+    }
+
+    @pytest.mark.parametrize("variant", bench.VARIANTS)
+    def test_sample_path_pinned(self, variant):
+        config = bench.TrainConfig(variant=variant, d=2, hidden=8, batch_size=16,
+                                   steps=20, seed=7)
+        result = bench.train(config)
+        assert not result.diverged
+        assert [step for step, _ in result.history] == list(range(1, 21))
+        np.testing.assert_allclose([obj for _, obj in result.history],
+                                   self.PINNED_HISTORY[variant], rtol=1e-12, atol=0)
+
+    def test_nonfinite_gradient_is_divergence(self, monkeypatch):
+        real_backward = nn.mlp_backward
+
+        def inf_backward(*args, **kwargs):
+            grads, dx = real_backward(*args, **kwargs)
+            return [np.full_like(g, np.inf) for g in grads], dx
+
+        monkeypatch.setattr(nn, "mlp_backward", inf_backward)
+        config = bench.TrainConfig(variant="plain_mlp", steps=5, hidden=8,
+                                   batch_size=16, seed=0)
+        result = bench.train(config)
+        assert result.diverged
+        assert len(result.history) == 0
 
     def test_run_experiment_summary_fields(self):
         config = bench.TrainConfig(variant="sym_haar", steps=10, hidden=8,

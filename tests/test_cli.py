@@ -52,6 +52,26 @@ class TestConfigParsing:
         assert config.seed == 9
         assert config.d == 3
 
+    def test_every_field_has_a_typed_flag(self):
+        from dataclasses import fields
+
+        from equisym.bench import TrainConfig
+
+        parser = cli.build_parser()
+        for f in fields(TrainConfig):
+            value = "sym_recursive" if f.name == "variant" else "3"
+            flag = "--" + f.name.replace("_", "-")
+            args = parser.parse_args(["train", flag, value])
+            parsed = getattr(args, f.name)
+            assert type(parsed) is cli.CONFIG_TYPES[f.name]
+            assert type(getattr(cli.build_config(args), f.name)) is type(parsed)
+
+    def test_mistyped_file_value_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps = many\n")
+        with pytest.raises(cli.UsageError):
+            cli.parse_config_file(str(cfg))
+
     def test_missing_config_file(self):
         parser = cli.build_parser()
         args = parser.parse_args(["train", "--config", "/nonexistent.cfg"])
@@ -66,6 +86,7 @@ class TestExitCodes:
     def test_argparse_error_is_2(self, capsys):
         assert cli.main(["check", "not-a-suite"]) == 2
         assert cli.main([]) == 2
+        assert cli.main(["eval"]) == 2  # train already evaluates
 
     def test_failing_suite_is_1(self, monkeypatch, capsys):
         broken = orthogonal_group(2)
@@ -148,6 +169,31 @@ class TestSweepCommand:
         rc = cli.main(["sweep", "--variants", "mystery",
                        "--out", str(tmp_path)] + FAST)
         assert rc == 2
+
+    @pytest.mark.parametrize("bad", [["--lr", "-1"], ["--dims", "0"], ["--dims", "two"]])
+    def test_invalid_cell_is_usage_error(self, tmp_path, capsys, bad):
+        rc = cli.main(["sweep", "--variants", "plain_mlp",
+                       "--out", str(tmp_path)] + FAST + bad)
+        assert rc == 2
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_cells_built_like_train_configs(self, tmp_path, monkeypatch, capsys):
+        # config file, then flags, then the cell's variant, d and seed
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps = 3\nhidden = 4\nseed = 9\n")
+        seen = []
+
+        def fake_experiment(config):
+            seen.append(config)
+            return {"final_loss": 0.5, "equiv_gap": 0.0, "diverged": False}
+
+        monkeypatch.setattr(cli, "run_experiment", fake_experiment)
+        rc = cli.main(["sweep", "--variants", "plain_mlp", "--dims", "2,3",
+                       "--seeds", "0", "--config", str(cfg), "--hidden", "5",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        assert [(c.variant, c.d, c.seed, c.steps, c.hidden) for c in seen] == [
+            ("plain_mlp", 2, 0, 3, 5), ("plain_mlp", 3, 0, 3, 5)]
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--variants", "", "--out", str(tmp_path)] + FAST)

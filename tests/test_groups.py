@@ -6,6 +6,7 @@ from equisym.groups import (
     GroupError,
     NoHaarError,
     SingularityError,
+    _haar_orthogonal,
     direct_product,
     element_distance,
     general_linear_group,
@@ -106,6 +107,23 @@ class TestHaar:
             acc_q += Q
             acc_gq += g @ Q
         assert np.max(np.abs(acc_q / n - acc_gq / n)) < 0.02
+
+    def test_batched_orthogonal_matches_single_draws(self):
+        # one sampler serves both: row i of a batch is the QR sign-fix of
+        # the i-th Gaussian block, exactly as a single draw would make it
+        for d in (2, 3, 4):
+            Qs = _haar_orthogonal(d, RandomStream(d), False, batch=(5,))
+            M = RandomStream(d).normal((5, d, d))
+            for i in range(5):
+                Q, R = np.linalg.qr(M[i])
+                assert np.array_equal(Qs[i], Q * np.sign(np.diag(R)))
+            single = _haar_orthogonal(d, RandomStream(d), False)
+            assert np.array_equal(single, _haar_orthogonal(d, RandomStream(d), False,
+                                                            batch=(1,))[0])
+
+    def test_batched_special_rejected(self):
+        with pytest.raises(ValueError):
+            _haar_orthogonal(3, RandomStream(0), True, batch=(1,))
 
     def test_noncompact_has_no_haar(self):
         for G in (translation_group(2), general_linear_group(2),
