@@ -214,18 +214,18 @@ class InversionModel:
     def draw(self, params, X, stream: RandomStream, couple=None) -> np.ndarray:
         """One reparameterised prediction per batch row.
 
-        couple=Q evaluates at Q.X with the Haar base draws coupled G -> QG,
-        which makes the draw exactly equal Q . (draw at X) for the
-        symmetrised variants.
+        couple=Q (one d x d matrix, or one per row) evaluates at Q.X with the
+        Haar base draws coupled G -> QG, which makes the draw exactly equal
+        Q . (draw at X) for the symmetrised variants.
         """
         return self._forward(params, X, stream, couple)[0]
 
-    def predict(self, params, X, n_mc: int, stream: RandomStream, couple=None) -> np.ndarray:
+    def predict(self, params, X, n_mc: int, stream: RandomStream) -> np.ndarray:
         """Averaged predictor: mean over n_mc draws (1 draw if deterministic)."""
         n = 1 if self.deterministic else n_mc
         acc = None
         for i in range(n):
-            y = self.draw(params, X, stream.split(i), couple=couple)
+            y = self.draw(params, X, stream.split(i))
             acc = y if acc is None else acc + y
         return acc / n
 
@@ -238,14 +238,14 @@ class InversionModel:
         B, d = X.shape[0], self.d
         Yhat, cache = self._forward(params, X, stream)
 
-        losses = _batch_losses(X, Yhat)
+        R = X @ Yhat - np.eye(d)  # the residual of _batch_losses
+        losses = np.linalg.norm(R, axis=(1, 2))
         if not np.all(np.isfinite(losses)):
             bad = int(np.argmax(~np.isfinite(losses)))
             raise DivergenceError(f"non-finite loss at batch index {bad}")
         objective = float(losses.mean())
 
-        # dl/dYhat for l = ||X Yhat - I||_F, averaged over the batch
-        R = X @ Yhat - np.eye(d)
+        # dl/dYhat for l = ||R||_F, averaged over the batch
         denom = np.where(losses > 1e-30, losses, 1.0)
         dYhat = np.transpose(X, (0, 2, 1)) @ R / denom[:, None, None] / B
 
@@ -302,21 +302,26 @@ def train(config: TrainConfig) -> TrainResult:
     return TrainResult(config, params, history)
 
 
-def equivariance_gap(model: InversionModel, params, x: np.ndarray, Q: np.ndarray,
-                     stream: RandomStream, n_mc: int = 16) -> float:
-    """||f(Qx) - f(x) Q^T||_F / (1 + ||f(x)||_F) under the Haar coupling.
+def equivariance_gap(model: InversionModel, params, X: np.ndarray, Qs: np.ndarray,
+                     stream: RandomStream, n_mc: int = 16) -> np.ndarray:
+    """Per-pair ||f(Q_i x_i) - f(x_i) Q_i^T||_F / (1 + ||f(x_i)||_F), coupled.
 
-    Both evaluations reuse the same base draws, with the Haar samples of
-    the symmetrised variants premultiplied by Q; for symmetrised models the
-    identity holds pointwise up to float error.
+    X and Qs have shape (N, d, d).  Each pair is repeated n_mc times (once
+    for deterministic variants), pair-major, and both sides are drawn as one
+    batch each from the same stream, so they share their base draws, with
+    the Haar samples of the symmetrised variants premultiplied by Q_i; for
+    symmetrised models the identity then holds pointwise up to float error.
     """
-    Q = np.asarray(Q, dtype=float)
-    if np.linalg.norm(Q.T @ Q - np.eye(Q.shape[0])) > 1e-9:
-        raise ValueError("equivariance_gap requires an orthogonal Q")
-    X = x[None]
-    f1 = model.predict(params, X, n_mc, stream)[0]
-    f2 = model.predict(params, X, n_mc, stream, couple=Q)[0]
-    return float(np.linalg.norm(f2 - f1 @ Q.T) / (1.0 + np.linalg.norm(f1)))
+    Qs = np.asarray(Qs, dtype=float)
+    N, d = Qs.shape[0], Qs.shape[-1]
+    Qt = np.transpose(Qs, (0, 2, 1))
+    if np.any(np.linalg.norm(Qt @ Qs - np.eye(d), axis=(1, 2)) > 1e-9):
+        raise ValueError("equivariance_gap requires every Q to be orthogonal")
+    n = 1 if model.deterministic else n_mc
+    Xr = np.repeat(X, n, axis=0)
+    f1, f2 = (model.draw(params, Xr, stream, couple=c).reshape(N, n, d, d).mean(axis=1)
+              for c in (None, np.repeat(Qs, n, axis=0)))
+    return np.linalg.norm(f2 - f1 @ Qt, axis=(1, 2)) / (1.0 + np.linalg.norm(f1, axis=(1, 2)))
 
 
 def evaluate(model: InversionModel, params, n_test: int, n_mc: int,
@@ -327,16 +332,12 @@ def evaluate(model: InversionModel, params, n_test: int, n_mc: int,
     Yhat = model.predict(params, X, n_mc, stream.split(1))
     mean_loss = float(_batch_losses(X, Yhat).mean())
 
-    gaps = []
     gap_stream = stream.split(2)
     n_pairs = min(n_gap_pairs, n_test)
     Qs = _haar_batch(model.d, n_pairs, gap_stream.split(0))
-    for i in range(n_pairs):
-        gaps.append(
-            equivariance_gap(model, params, X[i], Qs[i], gap_stream.split(1 + i),
-                             n_mc=min(n_mc, 16))
-        )
-    return mean_loss, float(np.mean(gaps))
+    gaps = equivariance_gap(model, params, X[:n_pairs], Qs, gap_stream.split(1),
+                            n_mc=min(n_mc, 16))
+    return mean_loss, float(gaps.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +352,14 @@ def write_history_csv(path: str, history: List[Tuple[int, float]]) -> None:
 
 
 def write_summary(path: str, variant: str, d: int, final_loss: float,
-                  equiv_gap: float, seed: int) -> None:
+                  equiv_gap: float, seed: int, diverged: bool) -> None:
     summary = {
         "variant": variant,
         "d": d,
         "final_loss": final_loss,
         "equiv_gap": equiv_gap,
         "seed": seed,
+        "diverged": diverged,
     }
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2)

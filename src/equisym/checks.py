@@ -290,11 +290,8 @@ def check_model_gaps(dims=(2, 3), n_pairs: int = 100, tol: float = 1e-6,
             params = model.init(stream.split(0))
             X = bench.sample_batch(d, n_pairs, stream.split(1))
             Qs = bench._haar_batch(d, n_pairs, stream.split(2))
-            worst = 0.0
-            for i in range(n_pairs):
-                gap = bench.equivariance_gap(model, params, X[i], Qs[i],
-                                             stream.split(3 + i), n_mc=4)
-                worst = max(worst, gap)
+            worst = float(bench.equivariance_gap(model, params, X, Qs, stream.split(3),
+                                                 n_mc=4).max())
             out.append(CheckResult(
                 f"equivariance gap {variant} d={d}", worst <= tol, worst))
     return out

@@ -1,6 +1,7 @@
 """Command-line interface: property checks, training with evaluation, sweeps.
 
-Exit codes: 0 success, 1 property/assertion failure, 2 usage error.
+Exit codes: 0 success, 1 property/assertion failure or a diverged training
+run, 2 usage error.
 Config files are flat ``key = value`` lines with ``#`` comments; flags
 override file values.  The output directory defaults to ``.`` and can be
 overridden by --out or the EQUISYM_OUT environment variable.
@@ -136,7 +137,7 @@ def run_train(args, out=None) -> int:
     write_summary(
         os.path.join(outdir, f"summary_{tag}.json"),
         result["variant"], result["d"], result["final_loss"],
-        result["equiv_gap"], result["seed"],
+        result["equiv_gap"], result["seed"], result["diverged"],
     )
     status = "diverged" if result["diverged"] else "ok"
     print(
@@ -144,7 +145,7 @@ def run_train(args, out=None) -> int:
         f"equiv_gap={result['equiv_gap']:.3e} status={status}",
         file=out,
     )
-    return 0
+    return 1 if result["diverged"] else 0
 
 
 def run_sweep(args, out=None) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +36,8 @@ class RandomStream:
     Children derived via split(tag) are statistically independent of the
     parent and of siblings with distinct tags, and do not depend on how
     many draws the parent has consumed.  Same seed + same draw sequence
-    gives bit-identical output across runs.
+    gives bit-identical output across runs.  The Philox generator is built
+    on the first draw, so a stream that is only split costs no generator.
     """
 
     def __init__(self, seed: int, _path: tuple = ()):
@@ -43,11 +45,16 @@ class RandomStream:
             raise ValueError("seed must be a 64-bit unsigned integer")
         self.seed = int(seed)
         self.path = _path
-        self._gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=self.seed, spawn_key=_path))
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        return np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=self.seed, spawn_key=self.path))
         )
 
     def split(self, tag: int) -> "RandomStream":
+        if int(tag) < 0:
+            raise ValueError("split tag must be nonnegative")
         return RandomStream(self.seed, self.path + (int(tag),))
 
     def normal(self, shape=()) -> np.ndarray:

@@ -133,7 +133,7 @@ class TestModel:
         params = m.init(RandomStream(0))
         X = bench.sample_batch(2, 1, RandomStream(1))
         Q = bench._haar_batch(2, 1, RandomStream(2))[0]
-        gap = bench.equivariance_gap(m, params, X[0], Q, RandomStream(3))
+        gap = bench.equivariance_gap(m, params, X[:1], Q[None], RandomStream(3))
         assert gap > 1e-3
 
     def test_gap_rejects_non_orthogonal(self):
@@ -141,8 +141,68 @@ class TestModel:
         params = m.init(RandomStream(0))
         X = bench.sample_batch(2, 1, RandomStream(1))
         with pytest.raises(ValueError):
-            bench.equivariance_gap(m, params, X[0], np.diag([2.0, 1.0]),
+            bench.equivariance_gap(m, params, X[:1], np.diag([2.0, 1.0])[None],
                                    RandomStream(2))
+
+    def test_gap_rejects_non_orthogonal_last_row(self):
+        m = bench.InversionModel("sym_haar", d=2, hidden=8)
+        params = m.init(RandomStream(0))
+        X = bench.sample_batch(2, 5, RandomStream(1))
+        Qs = bench._haar_batch(2, 5, RandomStream(2))
+        Qs[-1] = np.diag([2.0, 1.0])
+        with pytest.raises(ValueError):
+            bench.equivariance_gap(m, params, X, Qs, RandomStream(3))
+
+    @pytest.mark.parametrize("variant", ["plain_mlp", "canonical_deterministic"])
+    def test_batched_gap_matches_rowwise(self, variant):
+        m = bench.InversionModel(variant, d=2, hidden=8)
+        params = m.init(RandomStream(0))
+        X = bench.sample_batch(2, 6, RandomStream(1))
+        Qs = bench._haar_batch(2, 6, RandomStream(2))
+        gaps = bench.equivariance_gap(m, params, X, Qs, RandomStream(3))
+        assert gaps.shape == (6,)
+        for i in range(6):
+            f1 = m.draw(params, X[i:i + 1], RandomStream(3))[0]
+            f2 = m.draw(params, X[i:i + 1], RandomStream(3), couple=Qs[i])[0]
+            expected = np.linalg.norm(f2 - f1 @ Qs[i].T) / (1.0 + np.linalg.norm(f1))
+            # canonical's gap is itself rounding noise (~1e-16), which a
+            # 6-row and a 1-row MLP product round differently: hence the atol
+            np.testing.assert_allclose(gaps[i], expected, rtol=1e-12, atol=1e-15)
+
+    def test_batched_gap_averages_distinct_draws(self):
+        m = bench.InversionModel("sym_haar", d=2, hidden=8)
+        params = m.init(RandomStream(0))
+        X = bench.sample_batch(2, 3, RandomStream(1))
+        Qs = bench._haar_batch(2, 3, RandomStream(2))
+        calls = []
+        real_draw = m.draw
+
+        def spy(params, X, stream, couple=None):
+            out = real_draw(params, X, stream, couple)
+            calls.append((X, couple, out))
+            return out
+
+        m.draw = spy
+        gaps = bench.equivariance_gap(m, params, X, Qs, RandomStream(3), n_mc=4)
+        assert len(calls) == 2
+        (X1, c1, f1), (X2, c2, f2) = calls
+        # pair-major repeats: pair i owns rows 4i .. 4i+3
+        assert c1 is None
+        assert np.array_equal(X1, np.repeat(X, 4, axis=0))
+        assert np.array_equal(X2, X1)
+        assert np.array_equal(c2, np.repeat(Qs, 4, axis=0))
+        draws = f1.reshape(3, 4, 2, 2)
+        for i in range(3):
+            for a in range(4):
+                for b in range(a):
+                    assert np.linalg.norm(draws[i, a] - draws[i, b]) > 1e-6
+        f1m = draws.mean(axis=1)
+        f2m = f2.reshape(3, 4, 2, 2).mean(axis=1)
+        expected = (np.linalg.norm(f2m - f1m @ np.transpose(Qs, (0, 2, 1)), axis=(1, 2))
+                    / (1.0 + np.linalg.norm(f1m, axis=(1, 2))))
+        np.testing.assert_array_equal(gaps, expected)
+        assert gaps.shape == (3,)
+        assert np.max(gaps) <= 1e-12
 
     def test_untrained_sym_gaps_below_tolerance(self):
         for result in check_model_gaps(dims=(2,), n_pairs=20):
@@ -278,6 +338,28 @@ class TestTraining:
         assert np.isfinite(summary["final_loss"])
 
 
+class TestEvaluate:
+    # evaluate's mean test loss per variant (d=2, hidden 8, B=16, 10 steps,
+    # seed 5, 64 test inputs, 8 MC draws), recorded before the equivariance
+    # gap was batched; the gap's draws must not move the loss path
+    PINNED_LOSS = {
+        "plain_mlp": 1.512528070780133,
+        "sym_haar": 1.4734999726888691,
+        "sym_recursive": 1.458433250381687,
+        "canonical_deterministic": 1.5345833603015921,
+    }
+
+    @pytest.mark.parametrize("variant", bench.VARIANTS)
+    def test_loss_pinned(self, variant):
+        config = bench.TrainConfig(variant=variant, d=2, hidden=8, batch_size=16,
+                                   steps=10, seed=5)
+        result = bench.train(config)
+        model = bench.InversionModel(variant, 2, 8)
+        loss, gap = bench.evaluate(model, result.params, 64, 8, RandomStream(5).split(2))
+        np.testing.assert_allclose(loss, self.PINNED_LOSS[variant], rtol=1e-12, atol=0)
+        assert np.isfinite(gap)
+
+
 class TestArtifacts:
     def test_history_csv(self, tmp_path):
         path = str(tmp_path / "history.csv")
@@ -291,7 +373,7 @@ class TestArtifacts:
         import json
 
         path = str(tmp_path / "summary.json")
-        bench.write_summary(path, "sym_haar", 2, 0.4, 1e-8, seed=7)
+        bench.write_summary(path, "sym_haar", 2, 0.4, 1e-8, seed=7, diverged=False)
         data = json.load(open(path))
         assert data == {"variant": "sym_haar", "d": 2, "final_loss": 0.4,
-                        "equiv_gap": 1e-8, "seed": 7}
+                        "equiv_gap": 1e-8, "seed": 7, "diverged": False}

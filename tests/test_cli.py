@@ -131,10 +131,28 @@ class TestTrainCommand:
         summary = json.loads((tmp_path / f"summary_{tag}.json").read_text())
         assert summary["variant"] == "sym_haar"
         assert summary["equiv_gap"] <= 1e-6
+        assert summary["diverged"] is False
         from equisym import nn
 
         params = nn.load_params(str(tmp_path / f"params_{tag}.txt"))
         assert all(np.all(np.isfinite(p)) for p in params)
+
+    def test_diverged_run_is_1(self, tmp_path, monkeypatch, capsys):
+        from equisym import nn
+
+        real_backward = nn.mlp_backward
+
+        def inf_backward(*args, **kwargs):
+            grads, dx = real_backward(*args, **kwargs)
+            return [np.full_like(g, np.inf) for g in grads], dx
+
+        monkeypatch.setattr(nn, "mlp_backward", inf_backward)
+        rc = cli.main(["train", "--variant", "plain_mlp", "--seed", "0",
+                       "--out", str(tmp_path)] + FAST)
+        assert rc == 1
+        summary = json.loads((tmp_path / "summary_plain_mlp_d2_seed0.json").read_text())
+        assert summary["diverged"] is True
+        assert "status=diverged" in capsys.readouterr().out
 
     def test_repeat_run_identical_history(self, tmp_path, capsys):
         args = ["train", "--variant", "plain_mlp", "--seed", "4"] + FAST

@@ -168,6 +168,28 @@ class TestStreams:
         b = RandomStream(5)
         assert np.array_equal(a.split(3).normal(4), b.split(3).normal(4))
 
+    @pytest.mark.parametrize("path", [(), (0,), (1, 3), (2, 0, 7), (2**40, 5)])
+    def test_draws_match_philox_reference(self, path):
+        stream = RandomStream(9)
+        for tag in path:
+            stream = stream.split(tag)
+        ref = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=9, spawn_key=path)))
+        assert np.array_equal(stream.normal((3, 2)), ref.standard_normal((3, 2)))
+        assert np.array_equal(stream.uniform(4), ref.random(4))
+        assert np.array_equal(stream.integers(0, 100, 5), ref.integers(0, 100, size=5))
+
+    def test_child_independent_of_parent_drawing_first(self):
+        drew, idle = RandomStream(5).split(2), RandomStream(5).split(2)
+        drew.normal(3)
+        assert np.array_equal(drew.split(1).normal(6), idle.split(1).normal(6))
+        # and splitting does not advance the parent
+        assert np.array_equal(drew.normal(3), RandomStream(5).split(2).normal(6)[3:])
+
+    def test_negative_split_rejected(self):
+        with pytest.raises(ValueError):
+            RandomStream(5).split(-1)
+
     def test_distinct_tags_differ(self):
         s = RandomStream(5)
         assert not np.array_equal(s.split(0).normal(8), s.split(1).normal(8))
