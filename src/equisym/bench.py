@@ -83,8 +83,7 @@ def sample_batch(d: int, B: int, stream: RandomStream,
     rejections = 0
     while filled < B:
         cand = stream.normal((B - filled, d, d))
-        conds = np.linalg.cond(cand)
-        ok = cand[conds <= condition_cap]
+        ok = cand[nn.cond_within(cand, condition_cap)]
         if len(ok) == 0:
             rejections += 1
             if rejections >= 100:
@@ -178,8 +177,7 @@ class InversionModel:
             inp = np.concatenate([Z1.reshape(B, d * d), eta], axis=1)
             U_flat, mlp_cache = nn.mlp_forward(pg, inp)
             U = U_flat.reshape(B, d, d)
-            sv = np.linalg.svd(U, compute_uv=False)
-            if np.all(sv[:, -1] > 1e-10 * sv[:, 0]):
+            if np.all(nn.cond_within(U, nn.DEGENERACY_CAP)):
                 break
         else:
             raise nn.DegenerateProjectionError(

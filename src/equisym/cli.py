@@ -1,7 +1,7 @@
 """Command-line interface: property checks, training with evaluation, sweeps.
 
-Exit codes: 0 success, 1 property/assertion failure or a diverged training
-run, 2 usage error.
+Exit codes: 0 success, 1 property/assertion failure, a diverged training
+run or a sweep cell that diverged or raised, 2 usage error.
 Config files are flat ``key = value`` lines with ``#`` comments; flags
 override file values.  The output directory defaults to ``.`` and can be
 overridden by --out or the EQUISYM_OUT environment variable.
@@ -185,7 +185,7 @@ def run_sweep(args, out=None) -> int:
                 by_cell.setdefault((variant, d), []).append(fl)
         for (variant, d), losses in sorted(by_cell.items()):
             print(f"median {variant} d={d}: {statistics.median(losses):.6g}", file=out)
-    return 0
+    return 0 if all(status == "ok" for *_, status in rows) else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -103,6 +103,63 @@ def mlp_backward(params: MlpParams, cache: dict, dout) -> Tuple[List[np.ndarray]
 
 
 # ---------------------------------------------------------------------------
+# Condition numbers
+
+
+DEGENERACY_CAP = 1e10  # cond above which Gram-Schmidt's columns count as dependent
+
+
+def cond_within(M, cap: float) -> np.ndarray:
+    """np.linalg.cond(M) <= cap for each matrix of a (..., d, d) stack,
+    deciding most matrices without an SVD.
+
+    Let N = M / max|m_ij| (cond is scale-invariant) and
+    b = ||N||_F^d / |det N|.  Then cond <= b: sigma_1 <= ||N||_F and
+    |det N| = prod sigma_i <= sigma_1^(d-1) sigma_d, so
+    sigma_1 / sigma_d <= sigma_1^d / |det N|.  A matrix whose computed
+    bound b' meets t = c_d u b' <= 1/16 and b' (1 + t) <= cap, with
+    u = 2^-53 and c_d = 2^d (d^4 + 32 d^2), is accepted.  Every other one
+    (near or above the cap, singular, non-finite) goes to np.linalg.cond
+    itself, so the result is exactly np.linalg.cond(M) <= cap, including
+    its LinAlgError on a NaN matrix.
+
+    Why the slack t suffices.  Let k be the exact condition number of M,
+    so k <= b, and b >= 1.  To first order in u, relative to b or k:
+    - N = fl(M / s) is the exact scaling of M + F with |F| <= u |M|, so
+      cond(N) is within 2 sqrt(d) u k of k;
+    - the squares, the sum and the power give ||N||_F^d within
+      (d^3 / 2 + 1) u;
+    - det comes from LU with partial pivoting, the exact factors of N + E
+      with ||E||_2 <= d^3 2^(d-1) u ||N||_2 (Higham, "Accuracy and
+      Stability of Numerical Algorithms", Thm 9.3, with growth factor at
+      most 2^(d-1)), so it is within d^4 2^(d-1) u k of det N;
+    - numpy forms det as sign * exp(sum ln|u_ii|), which adds at most
+      (d + 1) u sum |ln|u_ii||; every |u_ii| <= 2^(d-1) and their product
+      is |det N| >= 1 / b (as ||N||_F >= max|n_ij| = 1), so that sum is
+      at most ln b + 2 d^2 and the term at most (d + 1)(1 + 2 d^2) u b;
+    - the division adds u, and the SVD returns singular values within
+      p_d u sigma_1 of the exact ones (LAPACK's bound, taking p_d <= 8 d^2),
+      so numpy's cond is at most k (1 + (16 d^2 + 1) u k).
+    These sum to at most half of c_d u b for every d >= 1 (133 u b of
+    576 u b at d = 2, 564 of 2952 at d = 3), and t <= 1/16 keeps the
+    second-order terms below the other half.  So numpy's cond of an
+    accepted matrix is at most b' (1 + t) <= cap.
+    """
+    M = np.asarray(M, dtype=float)
+    d = M.shape[-1]
+    flat = M.reshape(-1, d, d)
+    with np.errstate(all="ignore"):  # zero, inf and NaN rows fall through to the SVD
+        N = flat / np.abs(flat).max(axis=(1, 2), keepdims=True)
+        bound = np.einsum("bij,bij->b", N, N) ** (d / 2) / np.abs(np.linalg.det(N))
+        slack = (2.0**d * (d**4 + 32 * d**2) * 2.0**-53) * bound
+        ok = (slack <= 1 / 16) & (bound * (1 + slack) <= cap)
+    unsure = ~ok
+    if unsure.any():
+        ok[unsure] = np.linalg.cond(flat[unsure]) <= cap
+    return ok.reshape(M.shape[:-2])
+
+
+# ---------------------------------------------------------------------------
 # Gram-Schmidt
 
 
@@ -169,8 +226,7 @@ def gram_schmidt_backward(cache: dict, dQ) -> np.ndarray:
 def gram_schmidt_project(M) -> np.ndarray:
     """Project a nonsingular matrix onto the orthogonal group column-wise."""
     M = np.asarray(M, dtype=float)
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[..., -1].min() <= 1e-10 * sv[..., 0].max():
+    if not np.all(cond_within(M, DEGENERACY_CAP)):
         raise DegenerateProjectionError("columns are numerically dependent")
     Q, _ = gram_schmidt_forward(M)
     return Q
@@ -182,8 +238,8 @@ def gram_schmidt_project(M) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    m: List[np.ndarray]
-    v: List[np.ndarray]
+    m: np.ndarray  # first and second moments of every parameter, one flat buffer each
+    v: np.ndarray
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -192,31 +248,33 @@ class AdamState:
 
 def adam_init(params: List[np.ndarray], beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-        beta1=beta1, beta2=beta2, eps=eps,
-    )
+    size = sum(p.size for p in params)
+    return AdamState(m=np.zeros(size), v=np.zeros(size), beta1=beta1, beta2=beta2, eps=eps)
 
 
 def adam_step(params: List[np.ndarray], grads: List[np.ndarray], state: AdamState,
               lr: float) -> Tuple[List[np.ndarray], AdamState]:
-    """Standard Adam update with bias correction; returns fresh params/state."""
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise GradientError("non-finite gradient passed to adam_step")
+    """Standard Adam update with bias correction; returns fresh params/state.
+
+    One elementwise update over all parameters concatenated; each element
+    sees the same expressions in the same order as a per-array update.
+    """
+    g = np.concatenate([a.ravel() for a in grads])
+    if not np.all(np.isfinite(g)):
+        raise GradientError("non-finite gradient passed to adam_step")
+    p = np.concatenate([a.ravel() for a in params])
     t = state.t + 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        new_params.append(p - lr * mhat / (np.sqrt(vhat) + eps))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(new_m, new_v, t, b1, b2, eps)
+    m = b1 * state.m + (1 - b1) * g
+    v = b2 * state.v + (1 - b2) * g * g
+    mhat = m / (1 - b1**t)
+    vhat = v / (1 - b2**t)
+    p = p - lr * mhat / (np.sqrt(vhat) + eps)
+    new_params, start = [], 0
+    for a in params:
+        new_params.append(p[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return new_params, AdamState(m, v, t, b1, b2, eps)
 
 
 # ---------------------------------------------------------------------------

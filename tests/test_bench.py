@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -312,6 +314,31 @@ class TestTraining:
         assert [step for step, _ in result.history] == list(range(1, 21))
         np.testing.assert_allclose([obj for _, obj in result.history],
                                    self.PINNED_HISTORY[variant], rtol=1e-12, atol=0)
+
+    # SHA-256 of the final parameters (float64 little-endian bytes, in order)
+    # of the pinned run above, plus sym_recursive at d=3; recorded before
+    # the condition cap and Adam were vectorised.  Bitwise, so unlike the
+    # rtol pin above it also catches last-ulp moves; a different BLAS or
+    # numpy build may round matrix products differently and move it.
+    PINNED_PARAMS_SHA256 = {
+        ("plain_mlp", 2): "84284ac4726201ed619be5cddfbc84a7b99d3e6bcd439c8e460b2f9a81c0abc7",
+        ("sym_haar", 2): "198e02da866329d5604de8631d499513e8ccd2fd0c33dd359793a369659fbd9f",
+        ("sym_recursive", 2): "a3c0ac5488ecb9800491367006b6ed681d87060f4972311fafc4fc625f67f555",
+        ("canonical_deterministic", 2):
+            "9e8b16ce0db749cb81fe01a5cc26a45024c682546e9996bc0206653fe8ca4f4e",
+        ("sym_recursive", 3): "85b33a796d6020f40231d052d5fdc2494eca0c4d6b8c35b58ddffaf313da3849",
+    }
+
+    @pytest.mark.parametrize("variant,d", list(PINNED_PARAMS_SHA256))
+    def test_params_bit_identical(self, variant, d):
+        config = bench.TrainConfig(variant=variant, d=d, hidden=8, batch_size=16,
+                                   steps=20, seed=7)
+        result = bench.train(config)
+        assert not result.diverged
+        digest = hashlib.sha256()
+        for p in result.params:
+            digest.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
+        assert digest.hexdigest() == self.PINNED_PARAMS_SHA256[(variant, d)]
 
     def test_nonfinite_gradient_is_divergence(self, monkeypatch):
         real_backward = nn.mlp_backward

@@ -213,6 +213,23 @@ class TestSweepCommand:
         assert [(c.variant, c.d, c.seed, c.steps, c.hidden) for c in seen] == [
             ("plain_mlp", 2, 0, 3, 5), ("plain_mlp", 3, 0, 3, 5)]
 
+    def test_failed_cells_exit_1(self, tmp_path, monkeypatch, capsys):
+        from equisym import nn
+
+        real_backward = nn.mlp_backward
+
+        def inf_backward(*args, **kwargs):
+            grads, dx = real_backward(*args, **kwargs)
+            return [np.full_like(g, np.inf) for g in grads], dx
+
+        monkeypatch.setattr(nn, "mlp_backward", inf_backward)
+        rc = cli.main(["sweep", "--variants", "plain_mlp", "--seeds", "0,1",
+                       "--out", str(tmp_path)] + FAST)
+        assert rc == 1
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2
+        assert all(line.endswith(",diverged") for line in lines[1:])
+
     def test_empty_grid_rejected(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--variants", "", "--out", str(tmp_path)] + FAST)
         assert rc == 2

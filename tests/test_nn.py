@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equisym import nn
 from equisym.checks import (
@@ -7,7 +9,19 @@ from equisym.checks import (
     check_mlp_gradients,
     finite_difference_grads,
 )
+from equisym.groups import _haar_orthogonal
 from equisym.stochmap import RandomStream
+
+
+def with_conds(d, conds, stream):
+    """Matrices U diag(sigma) V^T with sigma_1 / sigma_d = conds[i]."""
+    n = len(conds)
+    U = _haar_orthogonal(d, stream.split(0), False, batch=(n,))
+    V = _haar_orthogonal(d, stream.split(1), False, batch=(n,))
+    inner = np.sort(stream.split(2).uniform((n, d - 2)), axis=1)[:, ::-1]
+    logs = np.concatenate([np.zeros((n, 1)), inner, np.ones((n, 1))], axis=1)
+    sv = np.asarray(conds, dtype=float)[:, None] ** -logs
+    return (U * sv[:, None, :]) @ np.transpose(V, (0, 2, 1))
 
 
 class TestMlp:
@@ -142,6 +156,58 @@ class TestGramSchmidt:
         assert np.linalg.norm(Q.T @ Q - np.eye(3)) <= 1e-10
 
 
+class TestCondWithin:
+    # every case must equal the SVD decision np.linalg.cond(M) <= cap exactly
+
+    @staticmethod
+    def assert_matches_svd(M, cap):
+        np.testing.assert_array_equal(nn.cond_within(M, cap), np.linalg.cond(M) <= cap)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("cap", [1e4, 1e10])
+    def test_random_stacks(self, d, cap):
+        M = RandomStream(d).normal((20000, d, d))
+        self.assert_matches_svd(M, cap)
+        self.assert_matches_svd(M[0], cap)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("cap", [1e4, 1e10])
+    def test_conditioned_at_the_cap(self, d, cap):
+        conds = cap * np.repeat([1 - 1e-6, 1 + 1e-6], 2000)
+        M = with_conds(d, conds, RandomStream(int(np.log10(cap)) + d))
+        ok = nn.cond_within(M, cap)
+        self.assert_matches_svd(M, cap)
+        assert ok[:2000].mean() > 0.5 and ok[2000:].mean() < 0.5  # both sides occur
+
+    def test_singular_and_nan_rows(self):
+        M = RandomStream(5).normal((6, 3, 3))
+        M[1] = 0.0
+        M[2, :, 2] = M[2, :, 0] - 2 * M[2, :, 1]
+        M[3, 1] = M[3, 0]
+        for cap in (1e4, 1e10, 1e300):
+            self.assert_matches_svd(M, cap)
+        assert not nn.cond_within(M[1], 1e300)  # cond of the zero matrix is inf
+        M[4, 0, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cond(M)
+        with pytest.raises(np.linalg.LinAlgError):
+            nn.cond_within(M, 1e4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 4), log_cap=st.floats(0, 12),
+           log_scale=st.floats(-150, 150), rel=st.floats(-1e-5, 1e-5),
+           seed=st.integers(0, 2**31))
+    def test_matches_svd_over_dimension_cap_and_scale(self, d, log_cap, log_scale,
+                                                       rel, seed):
+        cap = 10.0**log_cap
+        stream = RandomStream(seed)
+        M = stream.split(0).normal((64, d, d))
+        if d > 1:
+            near = with_conds(d, cap * (1 + rel * np.linspace(-1, 1, 64)), stream.split(1))
+            M = np.concatenate([M, near])
+        self.assert_matches_svd(M * 10.0**log_scale, cap)
+
+
 class TestAdam:
     def test_quadratic_converges(self):
         target = np.array([1.0, -2.0, 0.5])
@@ -171,7 +237,38 @@ class TestAdam:
         state = nn.adam_init(params)
         nn.adam_step(params, [np.ones(2)], state, lr=0.1)
         assert np.array_equal(params[0], np.ones(2))
-        assert np.all(state.m[0] == 0)
+        assert np.all(state.m == 0)
+
+    def test_matches_per_array_reference_bitwise(self):
+        # the textbook per-array update (Kingma & Ba, arXiv 1412.6980, with
+        # bias correction), written out here as the reference
+        def reference_step(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+            out = []
+            for i, (p, g) in enumerate(zip(params, grads)):
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                mhat = m[i] / (1 - b1**t)
+                vhat = v[i] / (1 - b2**t)
+                out.append(p - lr * mhat / (np.sqrt(vhat) + eps))
+            return out
+
+        stream = RandomStream(11)
+        shapes = [(3, 4), (4,), (2, 3, 2), (), (1,), (5, 1)]
+        params = [stream.split(i).normal(shape) for i, shape in enumerate(shapes)]
+        ref = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        state = nn.adam_init(params)
+        for step in range(1, 26):
+            grads = [stream.split(100 + step).split(i).normal(shape) * 10.0**(i - 3)
+                     for i, shape in enumerate(shapes)]
+            params, state = nn.adam_step(params, grads, state, lr=1e-3)
+            ref = reference_step(ref, grads, m, v, step, lr=1e-3)
+            assert state.t == step
+            assert [p.shape for p in params] == shapes
+            assert b"".join(p.tobytes() for p in params) == b"".join(r.tobytes() for r in ref)
+            assert state.m.tobytes() == b"".join(a.tobytes() for a in m)
+            assert state.v.tobytes() == b"".join(a.tobytes() for a in v)
 
 
 class TestCheckpoints:
