@@ -13,7 +13,6 @@ from .stochmap import (
 from .groups import (
     GroupDescriptor,
     direct_product,
-    euclidean_group,
     general_linear_group,
     haar_sample,
     orthogonal_group,

@@ -59,8 +59,10 @@ class TrainConfig:
             raise ConfigurationError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
-        for name in ("d", "hidden", "steps", "batch_size", "n_mc_eval", "n_test"):
-            if getattr(self, name) < 0 or (name in ("d", "hidden", "batch_size") and getattr(self, name) == 0):
+        if self.steps < 0:
+            raise ConfigurationError("config field steps must be nonnegative")
+        for name in ("d", "hidden", "batch_size", "n_mc_eval", "n_test"):
+            if getattr(self, name) < 1:
                 raise ConfigurationError(f"config field {name} must be positive")
         if not (self.lr > 0 and self.condition_cap > 0):  # also rejects NaN
             raise ConfigurationError("lr and condition_cap must be positive")
@@ -294,7 +296,7 @@ def train(config: TrainConfig) -> TrainResult:
             if not np.isfinite(objective) or objective > 1e6:
                 raise DivergenceError(f"objective {objective} at step {step + 1}")
             params, state = nn.adam_step(params, grads, state, config.lr)
-        except (DivergenceError, nn.GradientError):
+        except (DivergenceError, nn.GradientError, nn.DegenerateProjectionError):
             return TrainResult(config, params, history, diverged=True)
         history.append((step + 1, objective))
     return TrainResult(config, params, history)

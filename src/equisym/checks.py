@@ -103,12 +103,12 @@ def check_groups(groups: Optional[Dict[str, GroupDescriptor]] = None,
 
 
 def standard_bundles():
-    out = {"trivial O(2)": (coset_bundle_trivial(orthogonal_group(2)), None)}
+    out = {"trivial O(2)": coset_bundle_trivial(orthogonal_group(2))}
     for d in (2, 3):
-        out[f"O({d}) in GL({d})"] = (coset_bundle_orthogonal_in_gl(d), None)
+        out[f"O({d}) in GL({d})"] = coset_bundle_orthogonal_in_gl(d)
         se = special_euclidean_group(d)
-        out[f"SE({d}) via_N"] = (coset_bundle_semidirect(se, "via_N"), None)
-        out[f"SE({d}) via_H"] = (coset_bundle_semidirect(se, "via_H"), None)
+        out[f"SE({d}) via_N"] = coset_bundle_semidirect(se, "via_N")
+        out[f"SE({d}) via_H"] = coset_bundle_semidirect(se, "via_H")
     return out
 
 
@@ -142,7 +142,7 @@ def check_coset_bundle(name: str, bundle, n_samples: int = 1000,
 def check_cosets(n_samples: int = 1000) -> List[CheckResult]:
     return [
         check_coset_bundle(name, bundle, n_samples)
-        for name, (bundle, _) in standard_bundles().items()
+        for name, bundle in standard_bundles().items()
     ]
 
 
@@ -159,7 +159,6 @@ def janossy_setup(n: int):
     action_x = Action(group=G, space=x_space, apply=perm_apply)
     action_y = trivial_action(G, y_space)
     gamma = gamma_from_haar(bundle, action_x)
-    gamma.domain = x_space
     spec = SymmetrisationSpec(bundle=bundle, action_x=action_x, action_y=action_y,
                               gamma=gamma)
     k = lift_deterministic(lambda x: x[0], x_space, y_space)
@@ -238,7 +237,6 @@ def _stability_cases():
     # SE(2) via_N, identity, gamma = Haar on SO(2)
     bundle = coset_bundle_semidirect(se, "via_N")
     gamma = gamma_from_haar(bundle, act)
-    gamma.domain = space
     spec = SymmetrisationSpec(bundle=bundle, action_x=act, action_y=act, gamma=gamma)
     cases.append(("SE(2) via_N haar", spec,
                   lift_deterministic(lambda x: x, space, space),
@@ -408,12 +406,10 @@ SUITES = {
 }
 
 
-def run_suite(name: str, **kwargs) -> List[CheckResult]:
+def run_suite(name: str) -> List[CheckResult]:
     if name == "all":
         out = []
         for fn in SUITES.values():
             out.extend(fn())
         return out
-    if name not in SUITES:
-        raise KeyError(name)
-    return SUITES[name](**kwargs)
+    return SUITES[name]()

@@ -150,7 +150,6 @@ def run_train(args, out=None) -> int:
 
 def run_sweep(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    outdir = resolve_outdir(args)
     variants, dims, seeds = (
         [v.strip() for v in arg.split(",") if v.strip()]
         for arg in (args.variants, args.dims, args.seeds)
@@ -159,6 +158,7 @@ def run_sweep(args, out=None) -> int:
         raise UsageError("sweep needs nonempty variants, dims, and seeds")
     configs = [build_config(args, variant=variant, d=d, seed=seed)
                for variant in variants for d in dims for seed in seeds]
+    outdir = resolve_outdir(args)
 
     rows = []
     for config in configs:

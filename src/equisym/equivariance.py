@@ -7,12 +7,12 @@ G on G/H that makes q equivariant: q(g g') = g . q(g').
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .groups import GroupDescriptor, trivial_group
+from .groups import GroupDescriptor, general_linear_group, orthogonal_group, trivial_group
 from .stochmap import Space
 
 
@@ -48,7 +48,6 @@ class CosetBundle:
     # descriptor of the coset space as a group, when it is one (trivial
     # bundle: G itself; semidirect bundles: the complementary factor)
     coset_group: Optional[GroupDescriptor] = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def group(self) -> GroupDescriptor:
@@ -91,21 +90,17 @@ def coset_bundle_trivial(G: GroupDescriptor) -> CosetBundle:
         s=lambda c: c,
         coset_action=Action(group=G, space=space, apply=lambda g, c: G.mul(g, c)),
         coset_group=G,
-        meta={"kind": "trivial"},
     )
 
 
-def coset_bundle_orthogonal_in_gl(d: int, gl: Optional[GroupDescriptor] = None,
-                                  orth: Optional[GroupDescriptor] = None) -> CosetBundle:
+def coset_bundle_orthogonal_in_gl(d: int, gl: Optional[GroupDescriptor] = None) -> CosetBundle:
     """O(d) in GL(d,R): q(A) = A A^T onto positive-definite matrices.
 
     The right inverse is the lower-triangular Cholesky factor with positive
     diagonal, and the coset action is A . P = A P A^T.
     """
-    from .groups import general_linear_group, orthogonal_group
-
     G = gl if gl is not None else general_linear_group(d)
-    H = orth if orth is not None else orthogonal_group(d)
+    H = orthogonal_group(d)
     phi = Homomorphism(source=H, target=G, map=lambda Q: Q)
     space = Space(f"pd({d})", (d, d))
 
@@ -124,7 +119,6 @@ def coset_bundle_orthogonal_in_gl(d: int, gl: Optional[GroupDescriptor] = None,
         q=lambda A: A @ A.T,
         s=s,
         coset_action=Action(group=G, space=space, apply=lambda A, P: A @ P @ A.T),
-        meta={"kind": "orthogonal_in_gl", "d": d},
     )
 
 
@@ -155,7 +149,6 @@ def coset_bundle_semidirect(product: GroupDescriptor, which: str) -> CosetBundle
                 group=product, space=space, apply=lambda g, h2: H.mul(g[1], h2)
             ),
             coset_group=H,
-            meta={"kind": "semidirect_via_N"},
         )
     if which == "via_H":
         phi = Homomorphism(source=H, target=product, map=lambda h: (N.identity, h))
@@ -171,6 +164,5 @@ def coset_bundle_semidirect(product: GroupDescriptor, which: str) -> CosetBundle
                 apply=lambda g, n2: N.mul(g[0], rho(g[1], n2)),
             ),
             coset_group=N,
-            meta={"kind": "semidirect_via_H"},
         )
     raise ActionError(f"unknown coset direction {which!r} (expected via_N or via_H)")

@@ -51,18 +51,11 @@ class GroupDescriptor:
     # random elements for property testing; Haar when available, otherwise
     # some fixed full-support distribution
     random_element: Optional[Callable] = None
-    distance: Callable = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.distance is None:
-            self.distance = element_distance
         if self.random_element is None and self.haar is not None:
             self.random_element = self.haar
-
-    @property
-    def compact(self) -> bool:
-        return self.haar is not None
 
 
 def haar_sample(G: GroupDescriptor, stream: RandomStream):
@@ -222,7 +215,6 @@ def semidirect_product(
     rho: Callable,
     name: Optional[str] = None,
     check_samples: int = 32,
-    check_stream: Optional[RandomStream] = None,
 ) -> GroupDescriptor:
     """Semidirect product N x| H with twist rho: (h, n) -> n'.
 
@@ -231,7 +223,7 @@ def semidirect_product(
     rho(h, n * n') = rho(h, n) * rho(h, n') is verified on random samples
     at construction.
     """
-    stream = check_stream if check_stream is not None else RandomStream(2**32 + 7)
+    stream = RandomStream(2**32 + 7)
     if N.random_element is not None and H.random_element is not None:
         for i in range(check_samples):
             s = stream.split(i)
@@ -299,11 +291,3 @@ def special_euclidean_group(d: int) -> GroupDescriptor:
     G.meta["kind"] = "euclidean"
     return G
 
-
-def euclidean_group(d: int) -> GroupDescriptor:
-    """Euc(d) = T_d x| O(d)."""
-    N = translation_group(d)
-    H = orthogonal_group(d, special=False)
-    G = semidirect_product(N, H, rho=lambda Q, t: Q @ t, name=f"Euc({d})")
-    G.meta["kind"] = "euclidean"
-    return G

@@ -9,7 +9,7 @@ analytically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -34,7 +34,6 @@ class MlpParams:
     sizes: Tuple[int, ...]
     weights: List[np.ndarray]
     biases: List[np.ndarray]
-    activation: str = "tanh"
 
     def as_list(self) -> List[np.ndarray]:
         out = []
@@ -223,17 +222,11 @@ def gram_schmidt_backward(cache: dict, dQ) -> np.ndarray:
     return dM[0] if single else dM
 
 
-def gram_schmidt_project(M) -> np.ndarray:
-    """Project a nonsingular matrix onto the orthogonal group column-wise."""
-    M = np.asarray(M, dtype=float)
-    if not np.all(cond_within(M, DEGENERACY_CAP)):
-        raise DegenerateProjectionError("columns are numerically dependent")
-    Q, _ = gram_schmidt_forward(M)
-    return Q
-
-
 # ---------------------------------------------------------------------------
 # Optimizer
+
+
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -241,15 +234,11 @@ class AdamState:
     m: np.ndarray  # first and second moments of every parameter, one flat buffer each
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(params: List[np.ndarray], beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
+def adam_init(params: List[np.ndarray]) -> AdamState:
     size = sum(p.size for p in params)
-    return AdamState(m=np.zeros(size), v=np.zeros(size), beta1=beta1, beta2=beta2, eps=eps)
+    return AdamState(m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(params: List[np.ndarray], grads: List[np.ndarray], state: AdamState,
@@ -264,17 +253,16 @@ def adam_step(params: List[np.ndarray], grads: List[np.ndarray], state: AdamStat
         raise GradientError("non-finite gradient passed to adam_step")
     p = np.concatenate([a.ravel() for a in params])
     t = state.t + 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
-    m = b1 * state.m + (1 - b1) * g
-    v = b2 * state.v + (1 - b2) * g * g
-    mhat = m / (1 - b1**t)
-    vhat = v / (1 - b2**t)
-    p = p - lr * mhat / (np.sqrt(vhat) + eps)
+    m = ADAM_B1 * state.m + (1 - ADAM_B1) * g
+    v = ADAM_B2 * state.v + (1 - ADAM_B2) * g * g
+    mhat = m / (1 - ADAM_B1**t)
+    vhat = v / (1 - ADAM_B2**t)
+    p = p - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     new_params, start = [], 0
     for a in params:
         new_params.append(p[start:start + a.size].reshape(a.shape))
         start += a.size
-    return new_params, AdamState(m, v, t, b1, b2, eps)
+    return new_params, AdamState(m, v, t)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
@@ -103,9 +103,6 @@ def pair_space(a: Space, b: Space) -> Space:
     return Space(f"({a.name})x({b.name})")
 
 
-UNIT = Space("unit")  # the monoidal unit, represented as the empty tuple
-
-
 @dataclass
 class StochasticMap:
     domain: Space
@@ -115,7 +112,6 @@ class StochasticMap:
     enumerator: Optional[Callable] = None  # x -> list[(Fraction, y)]
     # optional hook used by coupled-equivariance evaluation: (x, stream, g) -> y
     coupled_sampler: Optional[Callable] = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def finite_support(self) -> bool:

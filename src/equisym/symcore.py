@@ -20,14 +20,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from .equivariance import Action, CosetBundle
-from .groups import elements_close, haar_sample
+from .groups import NoHaarError, elements_close, haar_sample
 from .stochmap import (
     EnumerationError,
     RandomStream,
     Space,
     StochasticMap,
+    distributions_equal,
+    lift_deterministic,
     merge_atoms,
 )
+
+GAMMA_CHECK_SEED = 1234  # stream of the construction-time spot-check of gamma
 
 
 class SpecError(TypeError):
@@ -47,7 +51,6 @@ class SymmetrisationSpec:
     # points of X used to spot-check gamma's equivariance at construction;
     # empty disables the check (the obligation then rests on the caller)
     test_points: tuple = ()
-    verify_stream_seed: int = 1234
     field_checked: bool = field(default=False, init=False)
 
     def __post_init__(self):
@@ -71,7 +74,7 @@ class SymmetrisationSpec:
 def _verify_gamma(spec: "SymmetrisationSpec") -> None:
     """Spot-check that gamma is equivariant: gamma(g.x) ~ g.gamma(x)."""
     G = spec.group
-    stream = RandomStream(spec.verify_stream_seed)
+    stream = RandomStream(GAMMA_CHECK_SEED)
     act = spec.bundle.coset_action.apply
     for i, x in enumerate(spec.test_points):
         g = G.random_element(stream.split(i)) if G.random_element else G.identity
@@ -86,8 +89,6 @@ def _verify_gamma(spec: "SymmetrisationSpec") -> None:
         elif spec.gamma.finite_support and G.elements is not None:
             lhs = merge_atoms(spec.gamma.enumerator(gx))
             rhs = merge_atoms([(p, act(g, c)) for p, c in spec.gamma.enumerator(x)])
-            from .stochmap import distributions_equal
-
             if not distributions_equal(lhs, rhs):
                 raise GammaNotEquivariantError(
                     f"finite-support gamma fails exact equivariance at test point {i}"
@@ -134,11 +135,14 @@ def symmetrise(k: StochasticMap, spec: SymmetrisationSpec) -> StochasticMap:
     ax, ay = spec.action_x.apply, spec.action_y.apply
     gamma = spec.gamma
 
-    def sampler(x, stream: RandomStream):
-        c = gamma.sampler(x, stream.split(0))
+    def act_through(c, x, stream: RandomStream):
+        # un-act by the coset representative, apply k, re-act
         g = bundle.s(c)
         y = k.sampler(ax(G.inv(g), x), stream.split(1))
         return ay(g, y)
+
+    def sampler(x, stream: RandomStream):
+        return act_through(gamma.sampler(x, stream.split(0)), x, stream)
 
     enum = None
     if gamma.finite_support and k.finite_support:
@@ -158,11 +162,9 @@ def symmetrise(k: StochasticMap, spec: SymmetrisationSpec) -> StochasticMap:
             # evaluate at gq . x with the gamma draws coupled by gq, so that
             # the output equals gq . (draw at x with the same stream)
             c = gamma.coupled_sampler(x, stream.split(0), gq)
-            g = bundle.s(c)
-            y = k.sampler(ax(G.inv(g), ax(gq, x)), stream.split(1))
-            return ay(g, y)
+            return act_through(c, ax(gq, x), stream)
 
-    out = StochasticMap(
+    return StochasticMap(
         domain=k.domain,
         codomain=k.codomain,
         sampler=sampler,
@@ -170,8 +172,6 @@ def symmetrise(k: StochasticMap, spec: SymmetrisationSpec) -> StochasticMap:
         enumerator=enum,
         coupled_sampler=coupled,
     )
-    out.meta["symmetrised"] = True
-    return out
 
 
 def gamma_from_haar(bundle: CosetBundle, aX: Action) -> StochasticMap:
@@ -183,8 +183,6 @@ def gamma_from_haar(bundle: CosetBundle, aX: Action) -> StochasticMap:
     """
     cg = bundle.coset_group
     if cg is None or cg.haar is None:
-        from .groups import NoHaarError
-
         raise NoHaarError(
             "gamma_from_haar needs a coset space that is a compact group"
         )
@@ -203,7 +201,6 @@ def gamma_from_haar(bundle: CosetBundle, aX: Action) -> StochasticMap:
     if cg.elements is not None:
         p = Fraction(1, len(cg.elements))
         sm.enumerator = lambda x: [(p, e) for e in cg.elements]
-    sm.meta["haar_gamma"] = True
     return sm
 
 
@@ -223,30 +220,17 @@ def gamma_columnwise_mean(d: int, n: int, mode: str = "translation") -> Stochast
     else:
         codomain = Space(f"coset:SE({d})/H")
 
-    def f(x):
-        return np.asarray(x, dtype=float).mean(axis=1)
-
-    sm = StochasticMap(
-        domain=domain,
-        codomain=codomain,
-        sampler=lambda x, stream: f(x),
-        deterministic=True,
-        enumerator=lambda x: [(Fraction(1), f(x))],
-        coupled_sampler=None,
-    )
-    return sm
+    return lift_deterministic(lambda x: np.asarray(x, dtype=float).mean(axis=1),
+                              domain, codomain)
 
 
 def gamma_recursive(gamma0: StochasticMap, inner_spec: SymmetrisationSpec) -> StochasticMap:
     """Build an equivariant gamma by symmetrising an unconstrained gamma0.
 
     inner_spec's Y-action must be the coset action of the bundle gamma0
-    targets; the result is equivariant by construction.
+    targets; the result is equivariant by construction.  symmetrise raises
+    SpecError when gamma0's spaces do not match inner_spec's.
     """
-    if inner_spec.action_y.space != gamma0.codomain:
-        raise SpecError(
-            "inner spec's Y-action must live on gamma0's coset-space codomain"
-        )
     return symmetrise(gamma0, inner_spec)
 
 
@@ -286,13 +270,7 @@ def average(
     else:
         raise ValueError(f"unknown averaging mode {mode!r}")
 
-    return StochasticMap(
-        domain=k.domain,
-        codomain=k.codomain,
-        sampler=lambda x, stream: f(x),
-        deterministic=True,
-        enumerator=lambda x: [(Fraction(1), f(x))],
-    )
+    return lift_deterministic(f, k.domain, k.codomain)
 
 
 def _convex_combination(atoms):

@@ -22,6 +22,9 @@ class TestConfig:
             bench.TrainConfig(d=0)
         with pytest.raises(bench.ConfigurationError):
             bench.TrainConfig(lr=0.0)
+        for name in ("n_mc_eval", "n_test"):
+            with pytest.raises(bench.ConfigurationError):
+                bench.TrainConfig(**{name: 0})
         for name in ("lr", "condition_cap"):
             with pytest.raises(bench.ConfigurationError):
                 bench.TrainConfig(**{name: float("nan")})
@@ -349,6 +352,23 @@ class TestTraining:
 
         monkeypatch.setattr(nn, "mlp_backward", inf_backward)
         config = bench.TrainConfig(variant="plain_mlp", steps=5, hidden=8,
+                                   batch_size=16, seed=0)
+        result = bench.train(config)
+        assert result.diverged
+        assert len(result.history) == 0
+
+    def test_degenerate_gamma_is_divergence(self, monkeypatch):
+        # every gamma-backbone output counts as near-singular, so _draw_coset
+        # uses up its GS_RETRIES; the input condition cap is left alone
+        real_cond_within = nn.cond_within
+
+        def reject_at_degeneracy_cap(M, cap):
+            if cap == nn.DEGENERACY_CAP:
+                return np.zeros(np.shape(M)[:-2], dtype=bool)
+            return real_cond_within(M, cap)
+
+        monkeypatch.setattr(nn, "cond_within", reject_at_degeneracy_cap)
+        config = bench.TrainConfig(variant="sym_recursive", steps=5, hidden=8,
                                    batch_size=16, seed=0)
         result = bench.train(config)
         assert result.diverged

@@ -188,12 +188,14 @@ class TestSweepCommand:
                        "--out", str(tmp_path)] + FAST)
         assert rc == 2
 
-    @pytest.mark.parametrize("bad", [["--lr", "-1"], ["--dims", "0"], ["--dims", "two"]])
+    @pytest.mark.parametrize("bad", [["--lr", "-1"], ["--dims", "0"], ["--dims", "two"],
+                                     ["--n-mc-eval", "0"], ["--n-test", "0"]])
     def test_invalid_cell_is_usage_error(self, tmp_path, capsys, bad):
+        outdir = tmp_path / "out"
         rc = cli.main(["sweep", "--variants", "plain_mlp",
-                       "--out", str(tmp_path)] + FAST + bad)
+                       "--out", str(outdir)] + FAST + bad)
         assert rc == 2
-        assert not (tmp_path / "sweep.csv").exists()
+        assert not outdir.exists()
 
     def test_cells_built_like_train_configs(self, tmp_path, monkeypatch, capsys):
         # config file, then flags, then the cell's variant, d and seed

@@ -194,7 +194,7 @@ class TestSemidirectBundles:
 class TestBundleLaws:
     @pytest.mark.parametrize("name", list(standard_bundles()))
     def test_laws(self, name):
-        bundle, _ = standard_bundles()[name]
+        bundle = standard_bundles()[name]
         result = check_coset_bundle(name, bundle, n_samples=200)
         assert result.passed, result.line()
 

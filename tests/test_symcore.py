@@ -308,7 +308,6 @@ def sign_bundle(S3, A3):
         s=lambda c: (0, 1, 2) if c == 1 else (1, 0, 2),
         coset_action=Action(group=S3, space=space,
                             apply=lambda p, c: perm_sign(p) * c),
-        meta={"kind": "sign"},
     )
 
 
