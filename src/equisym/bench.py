@@ -139,18 +139,10 @@ class InversionModel:
         return self.variant in ("plain_mlp", "canonical_deterministic")
 
     def init(self, stream: RandomStream) -> List[np.ndarray]:
-        params = nn.init_mlp(self.k_sizes, stream.split(0)).as_list()
+        params = nn.init_mlp(self.k_sizes, stream.split(0))
         if self.g0_sizes is not None:
-            params += nn.init_mlp(self.g0_sizes, stream.split(1)).as_list()
+            params += nn.init_mlp(self.g0_sizes, stream.split(1))
         return params
-
-    def _split_params(self, params):
-        n_k = 2 * (len(self.k_sizes) - 1)
-        pk = nn.MlpParams.from_list(self.k_sizes, params[:n_k])
-        pg = None
-        if self.g0_sizes is not None:
-            pg = nn.MlpParams.from_list(self.g0_sizes, params[n_k:])
-        return pk, pg
 
     # -- coset draw -------------------------------------------------------
 
@@ -198,7 +190,8 @@ class InversionModel:
         plain_mlp is the case C = None (no group action).  Returns
         (Yhat, cache); the cache holds what the backward pass reads.
         """
-        pk, pg = self._split_params(params)
+        n_k = 2 * (len(self.k_sizes) - 1)
+        pk, pg = params[:n_k], params[n_k:]
         B, d = X.shape[0], self.d
         if couple is not None:
             X = couple @ X
@@ -222,6 +215,8 @@ class InversionModel:
 
     def predict(self, params, X, n_mc: int, stream: RandomStream) -> np.ndarray:
         """Averaged predictor: mean over n_mc draws (1 draw if deterministic)."""
+        if n_mc < 1:
+            raise ValueError("predict needs n_mc >= 1")
         n = 1 if self.deterministic else n_mc
         acc = None
         for i in range(n):
@@ -328,6 +323,8 @@ def evaluate(model: InversionModel, params, n_test: int, n_mc: int,
              stream: RandomStream, condition_cap: float = 1e4,
              n_gap_pairs: int = 100) -> Tuple[float, float]:
     """Mean MC-averaged test loss and mean coupled equivariance gap."""
+    if n_test < 1 or n_gap_pairs < 1:
+        raise ValueError("evaluate needs n_test >= 1 and n_gap_pairs >= 1")
     X = sample_batch(model.d, n_test, stream.split(0), condition_cap)
     Yhat = model.predict(params, X, n_mc, stream.split(1))
     mean_loss = float(_batch_losses(X, Yhat).mean())

@@ -130,12 +130,9 @@ def coset_bundle_semidirect(product: GroupDescriptor, which: str) -> CosetBundle
     which='via_H': phi = i_H, q projects to N, s includes N back, coset
     action (n, h) . n' = n * (h |> n'); for SE(d) this is (t, Q) . t' = t + Q t'.
     """
-    kind = product.meta.get("kind")
-    if kind not in ("semidirect", "direct", "euclidean"):
+    if product.factors is None:
         raise ActionError(f"{product.name} is not a semidirect product descriptor")
-    N: GroupDescriptor = product.meta["N"]
-    H: GroupDescriptor = product.meta["H"]
-    rho = product.meta["rho"]
+    N, H, rho = product.factors
 
     if which == "via_N":
         phi = Homomorphism(source=N, target=product, map=lambda n: (n, H.identity))

@@ -15,7 +15,7 @@ uniform shuffle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
 from typing import Callable, List, Optional
 
@@ -51,7 +51,7 @@ class GroupDescriptor:
     # random elements for property testing; Haar when available, otherwise
     # some fixed full-support distribution
     random_element: Optional[Callable] = None
-    meta: dict = field(default_factory=dict)
+    factors: Optional[tuple] = None  # (N, H, rho) of a semidirect product
 
     def __post_init__(self):
         if self.random_element is None and self.haar is not None:
@@ -119,7 +119,6 @@ def orthogonal_group(d: int, special: bool = False) -> GroupDescriptor:
         inv=lambda g: g.T.copy(),
         identity=np.eye(d),
         haar=lambda stream: _haar_orthogonal(d, stream, special),
-        meta={"kind": "orthogonal", "d": d, "special": special},
     )
 
 
@@ -130,7 +129,6 @@ def translation_group(d: int) -> GroupDescriptor:
         inv=lambda g: -g,
         identity=np.zeros(d),
         random_element=lambda stream: stream.normal(d),
-        meta={"kind": "translation", "d": d},
     )
 
 
@@ -154,7 +152,6 @@ def general_linear_group(d: int) -> GroupDescriptor:
         inv=ginv,
         identity=np.eye(d),
         random_element=grandom,
-        meta={"kind": "general_linear", "d": d},
     )
 
 
@@ -188,7 +185,6 @@ def symmetric_group(n: int) -> GroupDescriptor:
         identity=tuple(range(n)),
         haar=lambda stream: stream.permutation(n),
         elements=[tuple(p) for p in _itertools_permutations(range(n))],
-        meta={"kind": "permutation", "n": n},
     )
 
 
@@ -201,7 +197,6 @@ def trivial_group() -> GroupDescriptor:
         identity=e,
         haar=lambda stream: e,
         elements=[e],
-        meta={"kind": "trivial"},
     )
 
 
@@ -271,23 +266,19 @@ def semidirect_product(
         haar=haar,
         elements=elements,
         random_element=random_element,
-        meta={"kind": "semidirect", "N": N, "H": H, "rho": rho},
+        factors=(N, H, rho),
     )
 
 
 def direct_product(G: GroupDescriptor, H: GroupDescriptor) -> GroupDescriptor:
-    sd = semidirect_product(
+    return semidirect_product(
         G, H, rho=lambda h, n: n, name=f"{G.name} x {H.name}", check_samples=0
     )
-    sd.meta["kind"] = "direct"
-    return sd
 
 
 def special_euclidean_group(d: int) -> GroupDescriptor:
     """SE(d) = T_d x| SO(d), elements (t, Q), product (t + Q t', Q Q')."""
     N = translation_group(d)
     H = orthogonal_group(d, special=True)
-    G = semidirect_product(N, H, rho=lambda Q, t: Q @ t, name=f"SE({d})")
-    G.meta["kind"] = "euclidean"
-    return G
+    return semidirect_product(N, H, rho=lambda Q, t: Q @ t, name=f"SE({d})")
 

@@ -1,8 +1,8 @@
 """Neural primitives: tanh MLP with manual backprop, differentiable
 modified Gram-Schmidt, Adam, and parameter checkpoints.
 
-Forward/backward accept either a single input vector (n,) or a batch
-(B, n); Gram-Schmidt likewise works on a single (d, d) matrix or a stack
+Forward/backward take batches only: the MLP a (B, n) input and its
+parameters as the flat list [W0, b0, W1, b1, ...], Gram-Schmidt a stack
 (B, d, d).  Backprop through Gram-Schmidt differentiates the recurrences
 analytically.
 """
@@ -29,62 +29,39 @@ class GradientError(ValueError):
 # MLP
 
 
-@dataclass
-class MlpParams:
-    sizes: Tuple[int, ...]
-    weights: List[np.ndarray]
-    biases: List[np.ndarray]
-
-    def as_list(self) -> List[np.ndarray]:
-        out = []
-        for W, b in zip(self.weights, self.biases):
-            out.extend([W, b])
-        return out
-
-    @staticmethod
-    def from_list(sizes: Sequence[int], flat: List[np.ndarray]) -> "MlpParams":
-        weights = flat[0::2]
-        biases = flat[1::2]
-        return MlpParams(tuple(sizes), list(weights), list(biases))
-
-
-def init_mlp(sizes: Sequence[int], stream: RandomStream) -> MlpParams:
-    """Weights uniform in +-1/sqrt(fan_in), biases zero."""
-    weights, biases = [], []
+def init_mlp(sizes: Sequence[int], stream: RandomStream) -> List[np.ndarray]:
+    """Flat parameters [W0, b0, W1, b1, ...]: weights uniform in
+    +-1/sqrt(fan_in), biases zero."""
+    params = []
     for i, (nin, nout) in enumerate(zip(sizes[:-1], sizes[1:])):
         bound = 1.0 / np.sqrt(nin)
         W = (stream.split(i).uniform((nin, nout)) * 2 - 1) * bound
-        weights.append(W)
-        biases.append(np.zeros(nout))
-    return MlpParams(tuple(sizes), weights, biases)
+        params += [W, np.zeros(nout)]
+    return params
 
 
-def mlp_forward(params: MlpParams, x) -> Tuple[np.ndarray, dict]:
-    """Affine/tanh chain with a linear last layer; cache supports backward."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    h = x[None, :] if single else x
-    if h.shape[-1] != params.sizes[0]:
+def mlp_forward(params: List[np.ndarray], x) -> Tuple[np.ndarray, dict]:
+    """Affine/tanh chain with a linear last layer on a batch x of shape
+    (B, n); params is [W0, b0, ...].  The cache holds each layer's input."""
+    h = np.asarray(x, dtype=float)
+    if h.ndim != 2 or h.shape[1] != params[0].shape[0]:
         raise ValueError(
-            f"input width {h.shape[-1]} does not match first layer {params.sizes[0]}"
+            f"input of shape {h.shape} is not a batch of width {params[0].shape[0]}"
         )
     inputs = []
-    n_layers = len(params.weights)
-    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
+    n_layers = len(params) // 2
+    for i in range(n_layers):
         inputs.append(h)
-        z = h @ W + b
+        z = h @ params[2 * i] + params[2 * i + 1]
         h = np.tanh(z) if i < n_layers - 1 else z
-    cache = {"inputs": inputs, "out": h, "single": single}
-    return (h[0] if single else h), cache
+    return h, {"inputs": inputs}
 
 
-def mlp_backward(params: MlpParams, cache: dict, dout) -> Tuple[List[np.ndarray], np.ndarray]:
+def mlp_backward(params: List[np.ndarray], cache: dict, dout) -> Tuple[List[np.ndarray], np.ndarray]:
     """Exact reverse-mode gradients; returns ([dW0, db0, ...], dinput)."""
-    dout = np.asarray(dout, dtype=float)
-    single = cache["single"]
-    dh = dout[None, :] if single else dout
+    dh = np.asarray(dout, dtype=float)
     inputs = cache["inputs"]
-    n_layers = len(params.weights)
+    n_layers = len(inputs)
     grads: List[np.ndarray] = [None] * (2 * n_layers)
     for i in range(n_layers - 1, -1, -1):
         h_in = inputs[i]
@@ -97,8 +74,8 @@ def mlp_backward(params: MlpParams, cache: dict, dout) -> Tuple[List[np.ndarray]
             dz = dh
         grads[2 * i] = h_in.T @ dz
         grads[2 * i + 1] = dz.sum(axis=0)
-        dh = dz @ params.weights[i].T
-    return grads, (dh[0] if single else dh)
+        dh = dz @ params[2 * i].T
+    return grads, dh
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +140,14 @@ def cond_within(M, cap: float) -> np.ndarray:
 
 
 def gram_schmidt_forward(M) -> Tuple[np.ndarray, dict]:
-    """Orthonormalize columns by modified Gram-Schmidt; cache for backward.
-
-    Accepts (d, d) or a stack (B, d, d).
-    """
-    M = np.asarray(M, dtype=float)
-    single = M.ndim == 2
-    A = M[None] if single else M
+    """Orthonormalize the columns of each matrix of a stack (B, d, d) by
+    modified Gram-Schmidt; cache for backward."""
+    A = np.asarray(M, dtype=float)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise ValueError(f"input of shape {A.shape} is not a stack of square matrices")
     d = A.shape[-1]
     Q = np.zeros_like(A)
-    vs = []  # per column: list of v before each projection step, then pre-norm v
+    vs = []  # per column: v before each projection step
     rs = []
     norms = []
     for j in range(d):
@@ -181,29 +156,25 @@ def gram_schmidt_forward(M) -> Tuple[np.ndarray, dict]:
         for i in range(j):
             qi = Q[:, :, i]
             r = np.einsum("bk,bk->b", qi, v)
-            v_hist.append(v.copy())
+            v_hist.append(v)
             r_hist.append(r)
             v = v - r[:, None] * qi
         nrm = np.linalg.norm(v, axis=1)
         Q[:, :, j] = v / nrm[:, None]
-        vs.append((v_hist, v.copy()))
+        vs.append(v_hist)
         rs.append(r_hist)
         norms.append(nrm)
-    cache = {"Q": Q, "vs": vs, "rs": rs, "norms": norms, "single": single,
-             "shape": A.shape}
-    return (Q[0] if single else Q), cache
+    return Q, {"Q": Q, "vs": vs, "rs": rs, "norms": norms}
 
 
 def gram_schmidt_backward(cache: dict, dQ) -> np.ndarray:
     """Reverse-mode gradient of gram_schmidt_forward w.r.t. its input."""
-    dQ = np.asarray(dQ, dtype=float)
-    single = cache["single"]
-    dQb = (dQ[None] if single else dQ).copy()
+    dQb = np.array(dQ, dtype=float)
     Q = cache["Q"]
-    B, d, _ = cache["shape"]
-    dM = np.zeros(cache["shape"])
+    d = Q.shape[-1]
+    dM = np.zeros_like(Q)
     for j in range(d - 1, -1, -1):
-        v_hist, v_fin = cache["vs"][j]
+        v_hist = cache["vs"][j]
         r_hist = cache["rs"][j]
         nrm = cache["norms"][j]
         qj = Q[:, :, j]
@@ -219,7 +190,7 @@ def gram_schmidt_backward(cache: dict, dQ) -> np.ndarray:
             dQb[:, :, i] -= gq[:, None] * v_old + r[:, None] * dv
             dv = dv - qi * gq[:, None]
         dM[:, :, j] = dv
-    return dM[0] if single else dM
+    return dM
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +262,11 @@ def load_params(path: str) -> List[np.ndarray]:
         out = []
         for _ in range(count):
             shape_line = fh.readline().split()
-            if shape_line[0] != "shape":
+            if shape_line[:1] != ["shape"]:
                 raise ValueError("malformed checkpoint: missing shape line")
             shape = tuple(int(s) for s in shape_line[1:])
             vals = np.array([float(v) for v in fh.readline().split()])
             out.append(vals.reshape(shape))
+        if fh.read():
+            raise ValueError("malformed checkpoint: trailing data")
     return out

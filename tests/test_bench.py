@@ -406,6 +406,24 @@ class TestEvaluate:
         np.testing.assert_allclose(loss, self.PINNED_LOSS[variant], rtol=1e-12, atol=0)
         assert np.isfinite(gap)
 
+    @pytest.mark.parametrize("n_test,n_mc,n_gap_pairs", [(0, 4, 100), (16, 0, 100), (16, 4, 0)])
+    def test_empty_request_rejected(self, n_test, n_mc, n_gap_pairs):
+        model = bench.InversionModel("sym_haar", 2, 8)
+        params = model.init(RandomStream(0))
+        with pytest.raises(ValueError):
+            bench.evaluate(model, params, n_test, n_mc, RandomStream(1),
+                           n_gap_pairs=n_gap_pairs)
+
+    @pytest.mark.parametrize("variant", ["plain_mlp", "sym_haar"])
+    def test_predict_rejects_zero_draws(self, variant):
+        # deterministic variants draw once anyway, but n_mc=0 is still an
+        # empty request
+        model = bench.InversionModel(variant, 2, 8)
+        params = model.init(RandomStream(0))
+        X = bench.sample_batch(2, 4, RandomStream(1))
+        with pytest.raises(ValueError):
+            model.predict(params, X, 0, RandomStream(2))
+
 
 class TestArtifacts:
     def test_history_csv(self, tmp_path):

@@ -27,38 +27,40 @@ def with_conds(d, conds, stream):
 class TestMlp:
     def test_init_shapes_and_bounds(self):
         p = nn.init_mlp((4, 8, 3), RandomStream(0))
-        assert [W.shape for W in p.weights] == [(4, 8), (8, 3)]
-        assert all(np.all(b == 0) for b in p.biases)
-        assert np.max(np.abs(p.weights[0])) <= 1.0 / np.sqrt(4)
-        assert np.max(np.abs(p.weights[1])) <= 1.0 / np.sqrt(8)
+        assert [W.shape for W in p[0::2]] == [(4, 8), (8, 3)]
+        assert all(np.all(b == 0) for b in p[1::2])
+        assert np.max(np.abs(p[0])) <= 1.0 / np.sqrt(4)
+        assert np.max(np.abs(p[2])) <= 1.0 / np.sqrt(8)
 
     def test_last_layer_is_linear(self):
         # with zero hidden weights the output equals the last bias, however
         # large, which a tanh output layer could not produce
         p = nn.init_mlp((2, 3, 1), RandomStream(1))
-        p.weights = [np.zeros_like(W) for W in p.weights]
-        p.biases[-1] = np.array([5.0])
-        y, _ = nn.mlp_forward(p, np.array([1.0, 1.0]))
-        assert y[0] == 5.0
+        p[0::2] = [np.zeros_like(W) for W in p[0::2]]
+        p[-1] = np.array([5.0])
+        y, _ = nn.mlp_forward(p, np.array([[1.0, 1.0]]))
+        assert y[0, 0] == 5.0
 
     def test_batch_matches_loop(self):
         p = nn.init_mlp((3, 6, 2), RandomStream(2))
         X = RandomStream(3).normal((5, 3))
         Y, _ = nn.mlp_forward(p, X)
         for i in range(5):
-            y, _ = nn.mlp_forward(p, X[i])
-            assert np.allclose(Y[i], y)
+            y, _ = nn.mlp_forward(p, X[i:i + 1])
+            assert np.allclose(Y[i], y[0])
 
     def test_width_mismatch(self):
         p = nn.init_mlp((3, 4, 2), RandomStream(0))
         with pytest.raises(ValueError):
-            nn.mlp_forward(p, np.zeros(5))
+            nn.mlp_forward(p, np.zeros((1, 5)))
 
-    def test_roundtrip_as_list(self):
-        p = nn.init_mlp((3, 4, 2), RandomStream(4))
-        q = nn.MlpParams.from_list(p.sizes, p.as_list())
-        assert all(np.array_equal(a, b) for a, b in zip(p.weights, q.weights))
-        assert all(np.array_equal(a, b) for a, b in zip(p.biases, q.biases))
+    def test_unbatched_input_rejected(self):
+        # a 1-D input of the right width would otherwise give gradients of
+        # the wrong shape in mlp_backward
+        p = nn.init_mlp((3, 4, 2), RandomStream(0))
+        for x in (np.zeros(3), np.zeros((2, 2, 3)), np.float64(0.0)):
+            with pytest.raises(ValueError):
+                nn.mlp_forward(p, x)
 
     def test_gradients_match_finite_differences(self):
         result = check_mlp_gradients()
@@ -71,51 +73,50 @@ class TestMlp:
         W = stream.split(2).normal((4, 2))
 
         def objective(flat):
-            q = nn.MlpParams.from_list((3, 5, 2), flat)
-            Y, _ = nn.mlp_forward(q, X)
+            Y, _ = nn.mlp_forward(flat, X)
             return float((W * Y).sum())
 
         Y, cache = nn.mlp_forward(p, X)
         grads, dX = nn.mlp_backward(p, cache, W)
-        fd = finite_difference_grads(objective, p.as_list())
+        fd = finite_difference_grads(objective, p)
         for g, f in zip(grads, fd):
             assert np.max(np.abs(g - f)) <= 1e-6
 
     def test_input_gradient(self):
         stream = RandomStream(9)
         p = nn.init_mlp((3, 5, 2), stream.split(0))
-        x = stream.split(1).normal(3)
-        w = stream.split(2).normal(2)
+        x = stream.split(1).normal((1, 3))
+        w = stream.split(2).normal((1, 2))
         _, cache = nn.mlp_forward(p, x)
         _, dx = nn.mlp_backward(p, cache, w)
         h = 1e-6
         for j in range(3):
             xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
+            xp[0, j] += h
+            xm[0, j] -= h
             up, _ = nn.mlp_forward(p, xp)
             dn, _ = nn.mlp_forward(p, xm)
-            fd = (w @ up - w @ dn) / (2 * h)
-            assert abs(dx[j] - fd) <= 1e-6
+            fd = (w[0] @ up[0] - w[0] @ dn[0]) / (2 * h)
+            assert abs(dx[0, j] - fd) <= 1e-6
 
 
 class TestGramSchmidt:
     def test_output_orthonormal(self):
-        M = RandomStream(0).normal((4, 4))
+        M = RandomStream(0).normal((1, 4, 4))
         Q, _ = nn.gram_schmidt_forward(M)
-        assert np.linalg.norm(Q.T @ Q - np.eye(4)) <= 1e-10
+        assert np.linalg.norm(Q[0].T @ Q[0] - np.eye(4)) <= 1e-10
 
     def test_orthogonal_input_fixed(self):
         th = 0.4
         Q0 = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        Q, _ = nn.gram_schmidt_forward(Q0)
-        assert np.allclose(Q, Q0, atol=1e-12)
+        Q, _ = nn.gram_schmidt_forward(Q0[None])
+        assert np.allclose(Q[0], Q0, atol=1e-12)
 
     def test_left_equivariance(self):
         # GS(U M) = U GS(M) for orthogonal U acting on the left
         stream = RandomStream(5)
-        M = stream.normal((3, 3))
-        U, _ = nn.gram_schmidt_forward(stream.split(1).normal((3, 3)))
+        M = stream.normal((1, 3, 3))
+        U, _ = nn.gram_schmidt_forward(stream.split(1).normal((1, 3, 3)))
         left, _ = nn.gram_schmidt_forward(U @ M)
         right, _ = nn.gram_schmidt_forward(M)
         assert np.linalg.norm(left - U @ right) <= 1e-10
@@ -124,8 +125,13 @@ class TestGramSchmidt:
         Ms = RandomStream(6).normal((4, 3, 3))
         Qs, _ = nn.gram_schmidt_forward(Ms)
         for i in range(4):
-            Qi, _ = nn.gram_schmidt_forward(Ms[i])
-            assert np.allclose(Qs[i], Qi)
+            Qi, _ = nn.gram_schmidt_forward(Ms[i:i + 1])
+            assert np.allclose(Qs[i], Qi[0])
+
+    def test_unbatched_input_rejected(self):
+        for M in (np.eye(3), np.zeros((2, 3, 2)), np.zeros((2, 2, 3, 3))):
+            with pytest.raises(ValueError):
+                nn.gram_schmidt_forward(M)
 
     def test_gradients_match_finite_differences(self):
         result = check_gram_schmidt_gradients()
@@ -276,5 +282,21 @@ class TestCheckpoints:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("something else\n")
+        with pytest.raises(ValueError):
+            nn.load_params(str(path))
+
+    def test_truncated_rejected(self, tmp_path):
+        path = tmp_path / "params.txt"
+        nn.save_params(str(path), [np.ones((2, 2)), np.zeros(3)])
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:4]))  # header, count, then the first array only
+        with pytest.raises(ValueError):
+            nn.load_params(str(path))
+
+    def test_trailing_data_rejected(self, tmp_path):
+        path = tmp_path / "params.txt"
+        nn.save_params(str(path), [np.ones((2, 2)), np.zeros(3)])
+        with open(path, "a") as fh:
+            fh.write("shape 1\n5\n")
         with pytest.raises(ValueError):
             nn.load_params(str(path))
