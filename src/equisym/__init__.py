@@ -38,7 +38,6 @@ from .symcore import (
     compose_procedures,
     gamma_columnwise_mean,
     gamma_from_haar,
-    gamma_recursive,
     symmetrise,
 )
 

@@ -64,8 +64,8 @@ class TrainConfig:
         for name in ("d", "hidden", "batch_size", "n_mc_eval", "n_test"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"config field {name} must be positive")
-        if not (self.lr > 0 and self.condition_cap > 0):  # also rejects NaN
-            raise ConfigurationError("lr and condition_cap must be positive")
+        if not (self.lr > 0 and self.condition_cap > 1):  # also rejects NaN
+            raise ConfigurationError("lr must be positive and condition_cap above 1")
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .stochmap import (
     enumerate_distribution,
     lift_deterministic,
 )
-from .symcore import SymmetrisationSpec, gamma_from_haar, symmetrise
+from .symcore import SymmetrisationSpec, gamma_columnwise_mean, gamma_from_haar, symmetrise
 
 DEFAULT_SEED = 20240817
 
@@ -48,14 +48,10 @@ class CheckResult:
     name: str
     passed: bool
     worst_error: float
-    detail: str = ""
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        msg = f"[{status}] {self.name}  worst_error={self.worst_error:.3e}"
-        if self.detail:
-            msg += f"  ({self.detail})"
-        return msg
+        return f"[{status}] {self.name}  worst_error={self.worst_error:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +222,7 @@ def _stability_cases():
         return Q @ x + t[:, None]
 
     act = Action(group=se, space=space, apply=se_apply)
-    gamma = lift_deterministic(lambda x: x.mean(axis=1), space, bundle.coset_space)
+    gamma = gamma_columnwise_mean(bundle, act)
     spec = SymmetrisationSpec(bundle=bundle, action_x=act, action_y=act, gamma=gamma)
     cases.append(("SE(2) via_H columnwise mean", spec,
                   lift_deterministic(lambda x: x, space, space),

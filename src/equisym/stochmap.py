@@ -110,8 +110,6 @@ class StochasticMap:
     sampler: Callable  # (x, RandomStream) -> y
     deterministic: bool = False
     enumerator: Optional[Callable] = None  # x -> list[(Fraction, y)]
-    # optional hook used by coupled-equivariance evaluation: (x, stream, g) -> y
-    coupled_sampler: Optional[Callable] = None
 
     @property
     def finite_support(self) -> bool:
@@ -149,7 +147,8 @@ def finite_map(outcomes: Callable, domain: Space, codomain: Space) -> Stochastic
 
     def sampler(x, stream: RandomStream):
         atoms = outcomes(x)
-        u = Fraction(stream.choice_index(_common_denominator(atoms)), _common_denominator(atoms))
+        d = _common_denominator(atoms)
+        u = Fraction(stream.choice_index(d), d)
         acc = Fraction(0)
         for p, y in atoms:
             acc += p
@@ -186,11 +185,7 @@ def compose(m: StochasticMap, k: StochasticMap) -> StochasticMap:
     if k.finite_support and m.finite_support:
 
         def enum(x):
-            out = []
-            for p, y in k.enumerator(x):
-                for q, z in m.enumerator(y):
-                    out.append((p * q, z))
-            return merge_atoms(out)
+            return bind(k.enumerator(x), m.enumerator)
 
     return StochasticMap(
         domain=k.domain,
@@ -213,11 +208,7 @@ def product(k: StochasticMap, m: StochasticMap) -> StochasticMap:
 
         def enum(xu):
             x, u = xu
-            out = []
-            for p, y in k.enumerator(x):
-                for q, v in m.enumerator(u):
-                    out.append((p * q, (y, v)))
-            return merge_atoms(out)
+            return bind(k.enumerator(x), lambda y: [(q, (y, v)) for q, v in m.enumerator(u)])
 
     return StochasticMap(
         domain=pair_space(k.domain, m.domain),
@@ -226,6 +217,12 @@ def product(k: StochasticMap, m: StochasticMap) -> StochasticMap:
         deterministic=k.deterministic and m.deterministic,
         enumerator=enum,
     )
+
+
+def bind(atoms, f):
+    """Exact law of z for y ~ atoms and z ~ f(y), duplicates merged; atoms
+    and f(y) are lists of (Fraction, point)."""
+    return merge_atoms([(p * q, z) for p, y in atoms for q, z in f(y)])
 
 
 def point_key(y):

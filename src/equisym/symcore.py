@@ -6,14 +6,14 @@ by its representative, applying the map, and re-acting:
 
     C ~ gamma(dc|x),  g = s(C),  Y ~ k(dy | g^-1 . x),  return g . Y
 
-Also provided: Haar and columnwise-mean base cases for gamma, recursive
-gamma construction, the expectation operator, and sequential composition
-of symmetrisation procedures.
+Also provided: Haar and columnwise-mean base cases for gamma, the
+expectation operator, and sequential composition of symmetrisation
+procedures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -24,8 +24,8 @@ from .groups import NoHaarError, elements_close, haar_sample
 from .stochmap import (
     EnumerationError,
     RandomStream,
-    Space,
     StochasticMap,
+    bind,
     distributions_equal,
     lift_deterministic,
     merge_atoms,
@@ -51,7 +51,6 @@ class SymmetrisationSpec:
     # points of X used to spot-check gamma's equivariance at construction;
     # empty disables the check (the obligation then rests on the caller)
     test_points: tuple = ()
-    field_checked: bool = field(default=False, init=False)
 
     def __post_init__(self):
         if self.gamma.codomain != self.bundle.coset_space:
@@ -64,7 +63,6 @@ class SymmetrisationSpec:
             raise SpecError("actions and coset bundle must share the same group")
         if self.test_points:
             _verify_gamma(self)
-            self.field_checked = True
 
     @property
     def group(self):
@@ -87,8 +85,8 @@ def _verify_gamma(spec: "SymmetrisationSpec") -> None:
                     f"deterministic gamma fails equivariance at test point {i}"
                 )
         elif spec.gamma.finite_support and G.elements is not None:
-            lhs = merge_atoms(spec.gamma.enumerator(gx))
-            rhs = merge_atoms([(p, act(g, c)) for p, c in spec.gamma.enumerator(x)])
+            lhs = spec.gamma.enumerator(gx)
+            rhs = [(p, act(g, c)) for p, c in spec.gamma.enumerator(x)]
             if not distributions_equal(lhs, rhs):
                 raise GammaNotEquivariantError(
                     f"finite-support gamma fails exact equivariance at test point {i}"
@@ -124,7 +122,12 @@ def _flatten_point(c):
 
 
 def symmetrise(k: StochasticMap, spec: SymmetrisationSpec) -> StochasticMap:
-    """Symmetrise k along the spec's coset bundle using its gamma."""
+    """Symmetrise k along the spec's coset bundle using its gamma.
+
+    gamma draws from split(0) and k from split(1), as in compose.  An
+    unconstrained gamma0 into a bundle's coset space, symmetrised with that
+    bundle's coset action as the Y-action, is an equivariant gamma for it.
+    """
     if k.domain != spec.action_x.space or k.codomain != spec.action_y.space:
         raise SpecError(
             f"map spaces ({k.domain}, {k.codomain}) do not match spec spaces "
@@ -135,34 +138,22 @@ def symmetrise(k: StochasticMap, spec: SymmetrisationSpec) -> StochasticMap:
     ax, ay = spec.action_x.apply, spec.action_y.apply
     gamma = spec.gamma
 
-    def act_through(c, x, stream: RandomStream):
-        # un-act by the coset representative, apply k, re-act
+    def through(c, x):
         g = bundle.s(c)
-        y = k.sampler(ax(G.inv(g), x), stream.split(1))
-        return ay(g, y)
+        return g, ax(G.inv(g), x)
 
     def sampler(x, stream: RandomStream):
-        return act_through(gamma.sampler(x, stream.split(0)), x, stream)
+        g, x0 = through(gamma.sampler(x, stream.split(0)), x)
+        return ay(g, k.sampler(x0, stream.split(1)))
 
     enum = None
     if gamma.finite_support and k.finite_support:
 
         def enum(x):
-            out = []
-            for p, c in gamma.enumerator(x):
-                g = bundle.s(c)
-                for q, y in k.enumerator(ax(G.inv(g), x)):
-                    out.append((p * q, ay(g, y)))
-            return merge_atoms(out)
-
-    coupled = None
-    if gamma.coupled_sampler is not None:
-
-        def coupled(x, stream: RandomStream, gq):
-            # evaluate at gq . x with the gamma draws coupled by gq, so that
-            # the output equals gq . (draw at x with the same stream)
-            c = gamma.coupled_sampler(x, stream.split(0), gq)
-            return act_through(c, ax(gq, x), stream)
+            def pushed(c):
+                g, x0 = through(c, x)
+                return [(q, ay(g, y)) for q, y in k.enumerator(x0)]
+            return bind(gamma.enumerator(x), pushed)
 
     return StochasticMap(
         domain=k.domain,
@@ -170,7 +161,6 @@ def symmetrise(k: StochasticMap, spec: SymmetrisationSpec) -> StochasticMap:
         sampler=sampler,
         deterministic=gamma.deterministic and k.deterministic,
         enumerator=enum,
-        coupled_sampler=coupled,
     )
 
 
@@ -186,7 +176,6 @@ def gamma_from_haar(bundle: CosetBundle, aX: Action) -> StochasticMap:
         raise NoHaarError(
             "gamma_from_haar needs a coset space that is a compact group"
         )
-    act = bundle.coset_action.apply
 
     def sampler(x, stream: RandomStream):
         return haar_sample(cg, stream)
@@ -196,7 +185,6 @@ def gamma_from_haar(bundle: CosetBundle, aX: Action) -> StochasticMap:
         codomain=bundle.coset_space,
         sampler=sampler,
         deterministic=False,
-        coupled_sampler=lambda x, stream, g: act(g, haar_sample(cg, stream)),
     )
     if cg.elements is not None:
         p = Fraction(1, len(cg.elements))
@@ -204,34 +192,14 @@ def gamma_from_haar(bundle: CosetBundle, aX: Action) -> StochasticMap:
     return sm
 
 
-def gamma_columnwise_mean(d: int, n: int, mode: str = "translation") -> StochasticMap:
+def gamma_columnwise_mean(bundle: CosetBundle, aX: Action) -> StochasticMap:
     """Deterministic gamma x -> (1/n) sum_i x_i for columnwise actions on R^{d x n}.
 
-    mode='translation' targets the trivial bundle over T_d; mode='euclidean'
-    targets the via_H coset space of SE(d) (also T_d concretely).
+    Equivariant for the trivial bundle over T_d and the via_H bundle of
+    SE(d), whose coset spaces are both T_d concretely.
     """
-    if n <= 0:
-        raise ValueError("columnwise mean needs at least one column")
-    if mode not in ("translation", "euclidean"):
-        raise ValueError(f"unknown mode {mode!r}")
-    domain = Space(f"R^({d}x{n})", (d, n))
-    if mode == "translation":
-        codomain = Space(f"coset:T_{d}/I")
-    else:
-        codomain = Space(f"coset:SE({d})/H")
-
     return lift_deterministic(lambda x: np.asarray(x, dtype=float).mean(axis=1),
-                              domain, codomain)
-
-
-def gamma_recursive(gamma0: StochasticMap, inner_spec: SymmetrisationSpec) -> StochasticMap:
-    """Build an equivariant gamma by symmetrising an unconstrained gamma0.
-
-    inner_spec's Y-action must be the coset action of the bundle gamma0
-    targets; the result is equivariant by construction.  symmetrise raises
-    SpecError when gamma0's spaces do not match inner_spec's.
-    """
-    return symmetrise(gamma0, inner_spec)
+                              aX.space, bundle.coset_space)
 
 
 def average(

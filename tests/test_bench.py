@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,13 @@ class TestConfig:
         for name in ("lr", "condition_cap"):
             with pytest.raises(bench.ConfigurationError):
                 bench.TrainConfig(**{name: float("nan")})
+
+    @pytest.mark.parametrize("cap", [1.0, 0.5])
+    def test_condition_cap_at_most_one(self, cap):
+        # every matrix has cond >= 1, and a Gaussian one cond > 1 almost
+        # surely, so such a cap would reject every batch
+        with pytest.raises(bench.ConfigurationError):
+            bench.TrainConfig(condition_cap=cap)
 
 
 class TestData:
@@ -429,7 +437,7 @@ class TestArtifacts:
     def test_history_csv(self, tmp_path):
         path = str(tmp_path / "history.csv")
         bench.write_history_csv(path, [(1, 0.5), (2, 0.25)])
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "step,objective"
         assert lines[1].startswith("1,0.5")
         assert len(lines) == 3
@@ -439,6 +447,6 @@ class TestArtifacts:
 
         path = str(tmp_path / "summary.json")
         bench.write_summary(path, "sym_haar", 2, 0.4, 1e-8, seed=7, diverged=False)
-        data = json.load(open(path))
+        data = json.loads(Path(path).read_text())
         assert data == {"variant": "sym_haar", "d": 2, "final_loss": 0.4,
                         "equiv_gap": 1e-8, "seed": 7, "diverged": False}

@@ -118,6 +118,20 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 7
 
+    def test_symmetrise_suite_passes(self, capsys):
+        assert cli.main(["check", "symmetrise"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") == 14
+        assert "14/14 checks passed" in out
+
+    def test_all_runs_every_suite_in_order(self, monkeypatch):
+        for name in checks_mod.SUITES:
+            monkeypatch.setitem(
+                checks_mod.SUITES, name,
+                lambda name=name: [CheckResult(f"{name} {i}", True, 0.0) for i in (1, 2)])
+        assert [r.name for r in checks_mod.run_suite("all")] == [
+            f"{name} {i}" for name in checks_mod.SUITES for i in (1, 2)]
+
 
 class TestTrainCommand:
     def test_writes_artifacts(self, tmp_path, capsys):
@@ -189,7 +203,8 @@ class TestSweepCommand:
         assert rc == 2
 
     @pytest.mark.parametrize("bad", [["--lr", "-1"], ["--dims", "0"], ["--dims", "two"],
-                                     ["--n-mc-eval", "0"], ["--n-test", "0"]])
+                                     ["--n-mc-eval", "0"], ["--n-test", "0"],
+                                     ["--condition-cap", "0.5"]])
     def test_invalid_cell_is_usage_error(self, tmp_path, capsys, bad):
         outdir = tmp_path / "out"
         rc = cli.main(["sweep", "--variants", "plain_mlp",
@@ -231,6 +246,23 @@ class TestSweepCommand:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 2
         assert all(line.endswith(",diverged") for line in lines[1:])
+
+    def test_raising_cell_is_error_row(self, tmp_path, monkeypatch, capsys):
+        real_experiment = cli.run_experiment
+
+        def flaky_experiment(config):
+            if config.seed == 1:
+                raise RuntimeError("cell failed")
+            return real_experiment(config)
+
+        monkeypatch.setattr(cli, "run_experiment", flaky_experiment)
+        rc = cli.main(["sweep", "--variants", "plain_mlp", "--seeds", "0,1",
+                       "--out", str(tmp_path)] + FAST)
+        assert rc == 1
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2
+        assert lines[1].startswith("plain_mlp,2,0,") and lines[1].endswith(",ok")
+        assert lines[2] == "plain_mlp,2,1,nan,nan,error:RuntimeError"
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--variants", "", "--out", str(tmp_path)] + FAST)

@@ -12,7 +12,6 @@ from equisym.equivariance import (
 )
 from equisym.groups import (
     GroupDescriptor,
-    haar_sample,
     orthogonal_group,
     perm_apply,
     perm_compose,
@@ -38,7 +37,6 @@ from equisym.symcore import (
     compose_procedures,
     gamma_columnwise_mean,
     gamma_from_haar,
-    gamma_recursive,
     symmetrise,
 )
 
@@ -58,8 +56,7 @@ def translation_canonicalisation():
     y_space = Space("R1", (1,))
     action_x = Action(group=T1, space=x_space, apply=lambda c, x: x + c[:, None])
     action_y = Action(group=T1, space=y_space, apply=lambda c, y: y + c)
-    gamma = gamma_columnwise_mean(1, 2, mode="translation")
-    gamma.domain = x_space
+    gamma = gamma_columnwise_mean(bundle, action_x)
     spec = SymmetrisationSpec(bundle=bundle, action_x=action_x, action_y=action_y,
                               gamma=gamma)
     k = lift_deterministic(lambda x: x[:, 0], x_space, y_space)
@@ -109,10 +106,9 @@ class TestGammaVerification:
                                   test_points=points)
 
     def test_equivariant_gamma_accepted(self):
-        gamma = gamma_columnwise_mean(1, 2, mode="translation")
-        gamma.domain = Space("R^(1x2)", (1, 2))
-        spec = self._spec(gamma, (np.array([[0.0, 2.0]]), np.array([[1.0, -3.0]])))
-        assert spec.field_checked
+        spec, _ = translation_canonicalisation()
+        gamma = gamma_columnwise_mean(spec.bundle, spec.action_x)
+        self._spec(gamma, (np.array([[0.0, 2.0]]), np.array([[1.0, -3.0]])))
 
     def test_non_equivariant_gamma_rejected(self):
         bad = lift_deterministic(lambda x: np.zeros(1), Space("R^(1x2)", (1, 2)),
@@ -127,11 +123,31 @@ class TestGammaVerification:
         action_x = Action(group=G, space=x_space, apply=perm_apply)
         gamma = gamma_from_haar(bundle, action_x)
         gamma.domain = x_space
-        spec = SymmetrisationSpec(
+        SymmetrisationSpec(
             bundle=bundle, action_x=action_x,
             action_y=trivial_action(G, Space("scalar")),
             gamma=gamma, test_points=((1.0, 2.0, 3.0),))
-        assert spec.field_checked
+
+    def _rotation_spec(self, gamma_for):
+        # O(2) rotating the columns of R^(2x5): a gamma with neither a
+        # deterministic flag nor an enumerator takes the statistical check
+        G = orthogonal_group(2)
+        bundle = coset_bundle_trivial(G)
+        act = Action(group=G, space=Space("R^(2x5)", (2, 5)), apply=lambda Q, x: Q @ x)
+        points = tuple(RandomStream(3).split(i).normal((2, 5)) for i in range(3))
+        return SymmetrisationSpec(bundle=bundle, action_x=act, action_y=act,
+                                  gamma=gamma_for(bundle, act), test_points=points)
+
+    def test_haar_gamma_passes_statistical_check(self):
+        self._rotation_spec(gamma_from_haar)
+
+    def test_constant_gamma_fails_statistical_check(self):
+        def constant(bundle, act):
+            return StochasticMap(domain=act.space, codomain=bundle.coset_space,
+                                 sampler=lambda x, s: np.eye(2))
+
+        with pytest.raises(GammaNotEquivariantError):
+            self._rotation_spec(constant)
 
 
 class TestSpecErrors:
@@ -173,33 +189,6 @@ class TestEnumeratorPropagation:
         atoms = enumerate_distribution(sym, (7.0, 7.0, 1.0))
         assert distributions_equal(atoms, [(Fraction(2, 3), 7.0),
                                            (Fraction(1, 3), 1.0)])
-
-
-class TestCoupledSampler:
-    def test_trivial_bundle_coupling_identity(self):
-        # sampling at Q.x with coupled base draws equals Q acting on the
-        # sample drawn at x from the same stream
-        G = orthogonal_group(2)
-        bundle = coset_bundle_trivial(G)
-        space = Space("R^(2x5)", (2, 5))
-        act = Action(group=G, space=space, apply=lambda Q, x: Q @ x)
-        gamma = gamma_from_haar(bundle, act)
-        spec = SymmetrisationSpec(bundle=bundle, action_x=act, action_y=act,
-                                  gamma=gamma)
-        k = StochasticMap(domain=space, codomain=space,
-                          sampler=lambda x, s: x + 0.1 * s.normal(x.shape))
-        sym = symmetrise(k, spec)
-        stream = RandomStream(6)
-        x = stream.split(0).normal((2, 5))
-        Q = haar_sample(G, stream.split(1))
-        coupled = sym.coupled_sampler(x, RandomStream(9), Q)
-        plain = sym.sampler(x, RandomStream(9))
-        assert np.linalg.norm(coupled - Q @ plain) <= 1e-9
-
-    def test_no_coupling_without_gamma_support(self):
-        spec, k = translation_canonicalisation()
-        sym = symmetrise(k, spec)
-        assert sym.coupled_sampler is None
 
 
 class TestAverage:
@@ -253,12 +242,11 @@ class TestGammaRecursive:
         inner = SymmetrisationSpec(bundle=bundle, action_x=action_x,
                                    action_y=bundle.coset_action,
                                    gamma=_haar_on(bundle, action_x))
-        gamma_rec = gamma_recursive(gamma0, inner)
+        gamma_rec = symmetrise(gamma0, inner)
         spec = SymmetrisationSpec(
             bundle=bundle, action_x=action_x,
             action_y=trivial_action(G, Space("scalar")),
             gamma=gamma_rec, test_points=((1.0, 2.0),))
-        assert spec.field_checked
         k = lift_deterministic(lambda x: x[0], x_space, Space("scalar"))
         sym = symmetrise(k, spec)
         atoms = enumerate_distribution(sym, (1.0, 2.0))
@@ -276,7 +264,7 @@ class TestGammaRecursive:
         gamma0 = lift_deterministic(lambda x: G.identity, x_space,
                                     bundle.coset_space)
         with pytest.raises(SpecError):
-            gamma_recursive(gamma0, inner)
+            symmetrise(gamma0, inner)
 
 
 def _haar_on(bundle, action_x):
