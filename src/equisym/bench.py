@@ -158,13 +158,12 @@ class InversionModel:
         if self.variant == "canonical_deterministic":
             Q, cache = nn.gram_schmidt_forward(X)
             return Q, None  # no gradient flows into gamma here
-        if self.variant == "sym_haar":
-            C = _haar_batch(d, B, stream.split(0))
-            return (C if couple is None else couple @ C), None
-        # sym_recursive: C = C1 * GS(nn_g0([flat(C1^T X); eta]))
         C1 = _haar_batch(d, B, stream.split(0))
         if couple is not None:
             C1 = couple @ C1
+        if self.variant == "sym_haar":
+            return C1, None
+        # sym_recursive: C = C1 * GS(nn_g0([flat(C1^T X); eta]))
         Z1 = np.transpose(C1, (0, 2, 1)) @ X
         for attempt in range(GS_RETRIES):
             eta = stream.split(1 + attempt).normal((B, d))

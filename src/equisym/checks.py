@@ -185,65 +185,50 @@ def check_janossy_equivariance(n: int) -> CheckResult:
 
 
 def _stability_cases():
-    """(name, spec, k) with k deterministic, equivariant, X-valued."""
+    """(name, bundle, act, gamma, sample_x); act acts on both X and Y."""
     cases = []
 
-    # trivial bundle over O(2), identity on R^{2 x 5} with column rotation
+    # trivial bundle over O(2), on R^{2 x 5} with column rotation
     G = orthogonal_group(2)
     bundle = coset_bundle_trivial(G)
-    space = Space("R^(2x5)", (2, 5))
-    act = Action(group=G, space=space, apply=lambda Q, x: Q @ x)
-    gamma = gamma_from_haar(bundle, act)
-    spec = SymmetrisationSpec(bundle=bundle, action_x=act, action_y=act, gamma=gamma)
-    cases.append(("trivial O(2) haar", spec,
-                  lift_deterministic(lambda x: x, space, space),
+    act = Action(group=G, space=Space("R^(2x5)", (2, 5)), apply=lambda Q, x: Q @ x)
+    cases.append(("trivial O(2) haar", bundle, act, gamma_from_haar(bundle, act),
                   lambda s: s.normal((2, 5))))
 
-    # O(2) in GL(2), identity on R^{2 x 4} under left multiplication,
-    # gamma(B) = B B^T
+    # O(2) in GL(2), on R^{2 x 4} under left multiplication, gamma(B) = B B^T
     gl = general_linear_group(2)
     bundle = coset_bundle_orthogonal_in_gl(2, gl=gl)
-    space = Space("R^(2x4)", (2, 4))
-    act = Action(group=gl, space=space, apply=lambda A, x: A @ x)
-    gamma = lift_deterministic(lambda B: B[:, :2] @ B[:, :2].T, space,
+    act = Action(group=gl, space=Space("R^(2x4)", (2, 4)), apply=lambda A, x: A @ x)
+    gamma = lift_deterministic(lambda B: B[:, :2] @ B[:, :2].T, act.space,
                                bundle.coset_space)
-    spec = SymmetrisationSpec(bundle=bundle, action_x=act, action_y=act, gamma=gamma)
-    cases.append(("O(2) in GL(2) gram gamma", spec,
-                  lift_deterministic(lambda x: x, space, space),
+    cases.append(("O(2) in GL(2) gram gamma", bundle, act, gamma,
                   lambda s: np.concatenate([gl.random_element(s), s.normal((2, 2))], axis=1)))
 
-    # SE(2) via_H, identity on point clouds, gamma = columnwise mean
+    # SE(2) on point clouds, via_H with gamma = columnwise mean and via_N
+    # with gamma = Haar on SO(2)
     se = special_euclidean_group(2)
-    bundle = coset_bundle_semidirect(se, "via_H")
-    space = Space("R^(2x5)", (2, 5))
 
     def se_apply(g, x):
         t, Q = g
         return Q @ x + t[:, None]
 
-    act = Action(group=se, space=space, apply=se_apply)
-    gamma = gamma_columnwise_mean(bundle, act)
-    spec = SymmetrisationSpec(bundle=bundle, action_x=act, action_y=act, gamma=gamma)
-    cases.append(("SE(2) via_H columnwise mean", spec,
-                  lift_deterministic(lambda x: x, space, space),
-                  lambda s: s.normal((2, 5))))
-
-    # SE(2) via_N, identity, gamma = Haar on SO(2)
+    act = Action(group=se, space=Space("R^(2x5)", (2, 5)), apply=se_apply)
+    bundle = coset_bundle_semidirect(se, "via_H")
+    cases.append(("SE(2) via_H columnwise mean", bundle, act,
+                  gamma_columnwise_mean(bundle, act), lambda s: s.normal((2, 5))))
     bundle = coset_bundle_semidirect(se, "via_N")
-    gamma = gamma_from_haar(bundle, act)
-    spec = SymmetrisationSpec(bundle=bundle, action_x=act, action_y=act, gamma=gamma)
-    cases.append(("SE(2) via_N haar", spec,
-                  lift_deterministic(lambda x: x, space, space),
+    cases.append(("SE(2) via_N haar", bundle, act, gamma_from_haar(bundle, act),
                   lambda s: s.normal((2, 5))))
-
     return cases
 
 
 def check_stability(n_points: int = 100, tol: float = 1e-9) -> List[CheckResult]:
-    """sym_gamma(k)(x) = k(x) pointwise for deterministic equivariant k."""
+    """sym_gamma(k)(x) = k(x) pointwise for the identity k, which is
+    deterministic, equivariant and X-valued."""
     out = []
-    for name, spec, k, sample_x in _stability_cases():
-        sym = symmetrise(k, spec)
+    for name, bundle, act, gamma, sample_x in _stability_cases():
+        k = lift_deterministic(lambda x: x, act.space, act.space)
+        sym = symmetrise(k, SymmetrisationSpec(bundle, act, act, gamma))
         stream = RandomStream(DEFAULT_SEED)
         worst = 0.0
         for i in range(n_points):

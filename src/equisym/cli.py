@@ -1,7 +1,8 @@
 """Command-line interface: property checks, training with evaluation, sweeps.
 
 Exit codes: 0 success, 1 property/assertion failure, a diverged training
-run or a sweep cell that diverged or raised, 2 usage error.
+run or a sweep cell that diverged or raised, 2 usage error or a config
+that training cannot meet (a condition cap no batch passes).
 Config files are flat ``key = value`` lines with ``#`` comments; flags
 override file values.  The output directory defaults to ``.`` and can be
 overridden by --out or the EQUISYM_OUT environment variable.
@@ -61,8 +62,6 @@ def coerce_config(raw: dict) -> dict:
         except ValueError:
             raise UsageError(
                 f"config key {key!r} needs {CONFIG_TYPES[key].__name__}, got {value!r}")
-        if key == "variant" and out[key] not in VARIANTS:
-            raise UsageError(f"unknown variant {value!r}")
     return out
 
 
@@ -201,7 +200,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return run_train(args)
         if args.command == "sweep":
             return run_sweep(args)
-    except UsageError as exc:
+    except (UsageError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

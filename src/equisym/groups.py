@@ -24,7 +24,6 @@ import numpy as np
 from .stochmap import RandomStream
 
 AXIOM_TOL = 1e-9
-REORTHO_TOL = 1e-12
 DET_TOL = 1e-12
 
 
@@ -86,14 +85,6 @@ def elements_close(g, h, tol: float = AXIOM_TOL) -> bool:
 # Matrix groups
 
 
-def _reorthonormalize(Q: np.ndarray) -> np.ndarray:
-    drift = np.linalg.norm(Q.T @ Q - np.eye(Q.shape[0]))
-    if drift > REORTHO_TOL:
-        U, _, Vt = np.linalg.svd(Q)
-        Q = U @ Vt
-    return Q
-
-
 def _haar_orthogonal(d: int, stream: RandomStream, special: bool,
                      batch: tuple = ()) -> np.ndarray:
     """Haar on O(d), or SO(d) if special; a leading batch shape draws a stack
@@ -108,14 +99,9 @@ def _haar_orthogonal(d: int, stream: RandomStream, special: bool,
 
 
 def orthogonal_group(d: int, special: bool = False) -> GroupDescriptor:
-    name = f"SO({d})" if special else f"O({d})"
-
-    def gmul(a, b):
-        return _reorthonormalize(a @ b)
-
     return GroupDescriptor(
-        name=name,
-        mul=gmul,
+        name=f"SO({d})" if special else f"O({d})",
+        mul=lambda a, b: a @ b,
         inv=lambda g: g.T.copy(),
         identity=np.eye(d),
         haar=lambda stream: _haar_orthogonal(d, stream, special),

@@ -109,7 +109,7 @@ class StochasticMap:
     codomain: Space
     sampler: Callable  # (x, RandomStream) -> y
     deterministic: bool = False
-    enumerator: Optional[Callable] = None  # x -> list[(Fraction, y)]
+    enumerator: Optional[Callable] = None  # x -> list[(Fraction, y)], each y once
 
     @property
     def finite_support(self) -> bool:
@@ -141,8 +141,9 @@ def finite_map(outcomes: Callable, domain: Space, codomain: Space) -> Stochastic
     """Build a finitely supported map from an outcome function.
 
     outcomes(x) must return a list of (Fraction probability, point) whose
-    probabilities sum to 1.  The sampler draws by inverse CDF on a single
-    uniform variate.
+    probabilities sum to 1; a point may repeat, and the enumerator merges
+    repeats.  The sampler draws by inverse CDF on a single uniform variate
+    over the list as given.
     """
 
     def sampler(x, stream: RandomStream):
@@ -156,7 +157,8 @@ def finite_map(outcomes: Callable, domain: Space, codomain: Space) -> Stochastic
                 return y
         return atoms[-1][1]
 
-    return StochasticMap(domain=domain, codomain=codomain, sampler=sampler, enumerator=outcomes)
+    return StochasticMap(domain=domain, codomain=codomain, sampler=sampler,
+                         enumerator=lambda x: merge_atoms(outcomes(x)))
 
 
 def _common_denominator(atoms) -> int:
@@ -247,14 +249,15 @@ def merge_atoms(atoms):
 
 
 def enumerate_distribution(k: StochasticMap, x):
-    """Exact outcome list [(Fraction, point)] with duplicates merged.
+    """Exact outcome list [(Fraction, point)], each point once.
 
-    Probabilities sum to 1 exactly; raises EnumerationError if k does not
-    carry a finite-support enumerator.
+    Enumerators return merged atoms (bind and finite_map merge them); this
+    checks that the probabilities are nonnegative and sum to 1 exactly, and
+    raises EnumerationError if they do not or if k carries no enumerator.
     """
     if not k.finite_support:
         raise EnumerationError("map has no finite-support enumerator")
-    atoms = merge_atoms(k.enumerator(x))
+    atoms = k.enumerator(x)
     total = sum(p for p, _ in atoms)
     if total != 1:
         raise EnumerationError(f"enumerated probabilities sum to {total}, not 1")

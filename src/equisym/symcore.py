@@ -28,7 +28,6 @@ from .stochmap import (
     bind,
     distributions_equal,
     lift_deterministic,
-    merge_atoms,
 )
 
 GAMMA_CHECK_SEED = 1234  # stream of the construction-time spot-check of gamma
@@ -220,8 +219,7 @@ def average(
             raise EnumerationError("exact averaging requires finite support")
 
         def f(x):
-            atoms = merge_atoms(k.enumerator(x))
-            return _convex_combination(atoms)
+            return _convex_combination(k.enumerator(x))
 
     elif mode == "monte_carlo":
         if n_samples < 1:

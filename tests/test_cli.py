@@ -40,8 +40,9 @@ class TestConfigParsing:
             cli.parse_config_file(str(cfg))
 
     def test_unknown_variant_rejected(self):
+        args = cli.build_parser().parse_args(["train", "--variant", "mystery"])
         with pytest.raises(cli.UsageError):
-            cli.coerce_config({"variant": "mystery"})
+            cli.build_config(args)
 
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -82,6 +83,15 @@ class TestConfigParsing:
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
         assert cli.main(["train", "--config", "/nonexistent.cfg"]) == 2
+
+    def test_infeasible_condition_cap_is_2(self, tmp_path, capsys):
+        # valid at parse time, but no Gaussian batch meets the cap
+        rc = cli.main(["train", "--variant", "plain_mlp", "--out", str(tmp_path)]
+                      + FAST + ["--condition-cap", "1.0001"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: condition cap 1.0001 rejected 100 batches")
+        assert "Traceback" not in err
 
     def test_argparse_error_is_2(self, capsys):
         assert cli.main(["check", "not-a-suite"]) == 2

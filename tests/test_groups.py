@@ -39,6 +39,22 @@ class TestMul:
             g = G.random_element(RandomStream(1))
             assert element_distance(G.mul(g, G.identity), g) <= 1e-9
 
+    def test_orthogonal_mul_is_matmul(self):
+        for G in (orthogonal_group(3), orthogonal_group(3, special=True)):
+            a = haar_sample(G, RandomStream(3).split(0))
+            b = haar_sample(G, RandomStream(3).split(1))
+            assert G.mul(a, b).tobytes() == (a @ b).tobytes()
+
+    def test_long_orthogonal_product_stays_orthogonal(self):
+        # O(d) products are plain matmuls; round-off over 10,000 factors
+        # stays inside a 1e-12 bound on ||Q^T Q - I||_F
+        G = orthogonal_group(3)
+        stream = RandomStream(11)
+        Q = G.identity
+        for i in range(10_000):
+            Q = G.mul(Q, haar_sample(G, stream.split(i)))
+        assert np.linalg.norm(Q.T @ Q - np.eye(3)) <= 1e-12
+
     def test_se2_product_formula(self):
         SE2 = special_euclidean_group(2)
         g = (np.array([1.0, 0.0]), rot(np.pi / 2))

@@ -151,6 +151,11 @@ class TestEnumerate:
         with pytest.raises(EnumerationError):
             enumerate_distribution(gaussian_map(), ())
 
+    def test_finite_map_merges_repeated_outcomes(self):
+        third = Fraction(1, 3)
+        k = finite_map(lambda x: [(third, "a"), (third, "b"), (third, "a")], ANY, ANY)
+        assert enumerate_distribution(k, None) == [(2 * third, "a"), (third, "b")]
+
     def test_probabilities_sum_to_one_exactly(self):
         atoms = enumerate_distribution(fair_coin(), None)
         assert sum(p for p, _ in atoms) == 1
