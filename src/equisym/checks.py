@@ -71,19 +71,27 @@ def standard_groups() -> Dict[str, GroupDescriptor]:
     }
 
 
+def _worst_error(law, *roles) -> float:
+    """law(*roles) on stacks of samples.  Permutation stacks are lists of
+    tuples, so there the law runs sample by sample."""
+    if isinstance(roles[0], list):
+        return max((law(*row) for row in zip(*roles)), default=0.0)
+    return law(*roles)
+
+
 def check_group_axioms(G: GroupDescriptor, n_samples: int = 1000) -> CheckResult:
-    """Associativity, unit, and inverse on random triples."""
+    """Associativity, unit, and inverse on random triples, one stream and
+    one stack per role."""
     stream = RandomStream(DEFAULT_SEED)
-    worst = 0.0
-    for i in range(n_samples):
-        s = stream.split(i)
-        g = G.random_element(s.split(0))
-        h = G.random_element(s.split(1))
-        n = G.random_element(s.split(2))
-        worst = max(worst, element_distance(G.mul(G.mul(g, h), n), G.mul(g, G.mul(h, n))))
-        worst = max(worst, element_distance(G.mul(g, G.identity), g))
-        worst = max(worst, element_distance(G.mul(G.identity, g), g))
-        worst = max(worst, element_distance(G.mul(g, G.inv(g)), G.identity))
+
+    def law(g, h, n):
+        return max(element_distance(G.mul(G.mul(g, h), n), G.mul(g, G.mul(h, n))),
+                   element_distance(G.mul(g, G.identity), g),
+                   element_distance(G.mul(G.identity, g), g),
+                   element_distance(G.mul(g, G.inv(g)), G.identity))
+
+    worst = _worst_error(law, *(G.random_element(stream.split(role), n_samples)
+                                for role in range(3)))
     return CheckResult(f"group axioms {G.name}", worst <= 1e-9, worst)
 
 
@@ -108,28 +116,26 @@ def standard_bundles():
 
 
 def check_coset_bundle(name: str, bundle, n_samples: int = 1000) -> CheckResult:
-    """Right-inverse, H-invariance, and G-equivariance laws on random samples."""
+    """Right-inverse, H-invariance, and G-equivariance laws on random
+    samples, one stream and one stack per role."""
     G = bundle.group
     H = bundle.phi.source
+    q = bundle.q
     stream = RandomStream(DEFAULT_SEED)
-    worst = 0.0
-    for i in range(n_samples):
-        s = stream.split(i)
-        g = G.random_element(s.split(0))
-        g2 = G.random_element(s.split(1))
-        h = H.random_element(s.split(2)) if H.random_element else H.identity
-        c = bundle.q(g)
-        # q(s(c)) = c
-        worst = max(worst, element_distance(bundle.q(bundle.s(c)), c))
-        # q(g phi(h)^-1) = q(g)
-        g_h = G.mul(g, G.inv(bundle.phi.map(h)))
-        worst = max(worst, element_distance(bundle.q(g_h), bundle.q(g)))
-        # q(g g') = g . q(g')
-        worst = max(
-            worst,
-            element_distance(bundle.q(G.mul(g, g2)),
-                             bundle.coset_action.apply(g, bundle.q(g2))),
+
+    def law(g, g2, h):
+        c = q(g)
+        return max(
+            element_distance(q(bundle.s(c)), c),  # q(s(c)) = c
+            element_distance(q(G.mul(g, G.inv(bundle.phi.map(h)))), c),  # q(g phi(h)^-1) = q(g)
+            element_distance(q(G.mul(g, g2)),  # q(g g') = g . q(g')
+                             bundle.coset_action.apply(g, q(g2))),
         )
+
+    g = G.random_element(stream.split(0), n_samples)
+    g2 = G.random_element(stream.split(1), n_samples)
+    h = H.random_element(stream.split(2), n_samples) if H.random_element else H.identity
+    worst = _worst_error(law, g, g2, h)
     return CheckResult(f"coset laws {name}", worst <= 1e-9, worst)
 
 

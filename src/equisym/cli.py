@@ -128,8 +128,8 @@ def run_check(suite: str, out=None) -> int:
 def run_train(args, out=None) -> int:
     out = out if out is not None else sys.stdout
     config = build_config(args)
-    outdir = resolve_outdir(args)
     result = run_experiment(config)
+    outdir = resolve_outdir(args)
     tag = f"{config.variant}_d{config.d}_seed{config.seed}"
     write_history_csv(os.path.join(outdir, f"history_{tag}.csv"), result["history"])
     nn.save_params(os.path.join(outdir, f"params_{tag}.txt"), result["params"])

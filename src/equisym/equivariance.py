@@ -3,6 +3,9 @@
 A CosetBundle packages, for a homomorphism phi: H -> G, the coset map
 q: G -> G/H, a right-inverse s with q(s(c)) = c, and the induced action of
 G on G/H that makes q equivariant: q(g g') = g . q(g').
+
+The standard bundles' q, s, phi.map and coset action accept stacks of
+elements, as the groups' mul and inv do (see groups).
 """
 
 from __future__ import annotations
@@ -97,7 +100,8 @@ def coset_bundle_orthogonal_in_gl(d: int, gl: Optional[GroupDescriptor] = None) 
     """O(d) in GL(d,R): q(A) = A A^T onto positive-definite matrices.
 
     The right inverse is the lower-triangular Cholesky factor with positive
-    diagonal, and the coset action is A . P = A P A^T.
+    diagonal, and the coset action is A . P = A P A^T.  Stacks are checked
+    for positive-definiteness row by row.
     """
     G = gl if gl is not None else general_linear_group(d)
     H = orthogonal_group(d)
@@ -107,7 +111,7 @@ def coset_bundle_orthogonal_in_gl(d: int, gl: Optional[GroupDescriptor] = None) 
     def s(P):
         P = np.asarray(P, dtype=float)
         eigvals = np.linalg.eigvalsh(P)
-        if eigvals[0] <= 1e-12 * np.trace(P):
+        if np.any(eigvals[..., 0] <= 1e-12 * np.trace(P, axis1=-2, axis2=-1)):
             raise NotPositiveDefiniteError(
                 "coset representative requested for a non-positive-definite matrix"
             )
@@ -116,9 +120,10 @@ def coset_bundle_orthogonal_in_gl(d: int, gl: Optional[GroupDescriptor] = None) 
     return CosetBundle(
         phi=phi,
         coset_space=space,
-        q=lambda A: A @ A.T,
+        q=lambda A: A @ np.swapaxes(A, -1, -2),
         s=s,
-        coset_action=Action(group=G, space=space, apply=lambda A, P: A @ P @ A.T),
+        coset_action=Action(group=G, space=space,
+                            apply=lambda A, P: A @ P @ np.swapaxes(A, -1, -2)),
     )
 
 

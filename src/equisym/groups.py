@@ -8,6 +8,13 @@ Elements are plain values interpreted by their descriptor:
 - permutation: tuple p with p[i] = sigma(i); composition (s*t)(i) = s(t(i))
 - semidirect / direct products: pair (n, h) of factor elements
 
+Samplers take an optional count n and then return a stack of n samples:
+an array with a leading axis, a pair of stacks for a product, and a list
+of tuples for S_n.  The array groups' mul and inv, and element_distance,
+accept stacks, and a single element such as the identity broadcasts
+against a stack; row i of a stacked result equals the single-element
+result on row i, bit for bit.
+
 Haar on O(d)/SO(d) is QR of a Gaussian matrix with the R-diagonal signs
 absorbed into Q (which makes the law exactly invariant); Haar on S_n is a
 uniform shuffle.
@@ -45,7 +52,7 @@ class GroupDescriptor:
     mul: Callable
     inv: Callable
     identity: object
-    haar: Optional[Callable] = None  # stream -> element
+    haar: Optional[Callable] = None  # (stream, n=None) -> element, or a stack of n
     elements: Optional[List] = None  # finite groups only, each listed once
     # random elements for property testing; Haar when available, otherwise
     # some fixed full-support distribution
@@ -63,8 +70,20 @@ def haar_sample(G: GroupDescriptor, stream: RandomStream):
     return G.haar(stream)
 
 
+def _stack_shape(n: Optional[int]) -> tuple:
+    return () if n is None else (n,)
+
+
+def _row(stack, i: int):
+    """Element i of a stack; a pair of stacks gives a pair."""
+    return tuple(_row(s, i) for s in stack) if isinstance(stack, tuple) else stack[i]
+
+
 def element_distance(g, h) -> float:
-    """Max-abs distance between two elements of the same representation."""
+    """Max-abs distance between two elements of the same representation.
+
+    Either side may be a stack, and a single element broadcasts against
+    it: the result is the largest distance over the stack."""
     if isinstance(g, tuple) and not isinstance(h, np.ndarray):
         if len(g) != len(h):
             return float("inf")
@@ -72,9 +91,11 @@ def element_distance(g, h) -> float:
             return 0.0 if tuple(g) == tuple(h) else 1.0
         return max((element_distance(a, b) for a, b in zip(g, h)), default=0.0)
     ga, ha = np.asarray(g, dtype=float), np.asarray(h, dtype=float)
-    if ga.shape != ha.shape:
+    k = min(ga.ndim, ha.ndim)  # element axes shared by both sides
+    if ga.shape[ga.ndim - k:] != ha.shape[ha.ndim - k:]:
         return float("inf")
-    return float(np.max(np.abs(ga - ha))) if ga.size else 0.0
+    diff = np.abs(ga - ha)
+    return float(np.max(diff)) if diff.size else 0.0
 
 
 def elements_close(g, h, tol: float = AXIOM_TOL) -> bool:
@@ -88,13 +109,11 @@ def elements_close(g, h, tol: float = AXIOM_TOL) -> bool:
 def _haar_orthogonal(d: int, stream: RandomStream, special: bool,
                      batch: tuple = ()) -> np.ndarray:
     """Haar on O(d), or SO(d) if special; a leading batch shape draws a stack
-    of independent samples (O(d) only)."""
-    if special and batch:
-        raise ValueError("batched Haar sampling is for O(d) only")
+    of independent samples."""
     Q, R = np.linalg.qr(stream.normal(batch + (d, d)))
     Q = Q * np.copysign(1.0, R.diagonal(0, -2, -1))[..., None, :]
-    if special and np.linalg.det(Q) < 0:
-        Q[:, 0] *= -1
+    if special:
+        Q[..., :, 0] *= np.sign(np.linalg.det(Q))[..., None]
     return Q
 
 
@@ -102,9 +121,9 @@ def orthogonal_group(d: int, special: bool = False) -> GroupDescriptor:
     return GroupDescriptor(
         name=f"SO({d})" if special else f"O({d})",
         mul=lambda a, b: a @ b,
-        inv=lambda g: g.T.copy(),
+        inv=lambda g: np.swapaxes(g, -1, -2).copy(),
         identity=np.eye(d),
-        haar=lambda stream: _haar_orthogonal(d, stream, special),
+        haar=lambda stream, n=None: _haar_orthogonal(d, stream, special, _stack_shape(n)),
     )
 
 
@@ -114,23 +133,29 @@ def translation_group(d: int) -> GroupDescriptor:
         mul=lambda a, b: a + b,
         inv=lambda g: -g,
         identity=np.zeros(d),
-        random_element=lambda stream: stream.normal(d),
+        random_element=lambda stream, n=None: stream.normal(_stack_shape(n) + (d,)),
     )
 
 
 def general_linear_group(d: int) -> GroupDescriptor:
     def ginv(g):
-        if abs(np.linalg.det(g)) <= DET_TOL:
+        if np.any(np.abs(np.linalg.det(g)) <= DET_TOL):
             raise SingularityError("element of GL has |det| below threshold")
         return np.linalg.inv(g)
 
-    def grandom(stream):
-        # condition bound keeps float round-off in axiom/coset checks well
-        # below the 1e-9 tolerance
-        while True:
-            A = stream.normal((d, d))
-            if abs(np.linalg.det(A)) > 1e-3 and np.linalg.cond(A) < 1e3:
-                return A
+    def grandom(stream, n=None):
+        # Gaussian matrices kept where |det| > 1e-3 and cond < 1e3, which
+        # keeps float round-off in axiom/coset checks well below the 1e-9
+        # tolerance; the shortfall is redrawn from the same stream
+        B = 1 if n is None else n
+        X = np.empty((B, d, d))
+        filled = 0
+        while filled < B:
+            cand = stream.normal((B - filled, d, d))
+            ok = cand[(np.abs(np.linalg.det(cand)) > 1e-3) & (np.linalg.cond(cand) < 1e3)]
+            X[filled:filled + len(ok)] = ok
+            filled += len(ok)
+        return X[0] if n is None else X
 
     return GroupDescriptor(
         name=f"GL({d})",
@@ -169,7 +194,8 @@ def symmetric_group(n: int) -> GroupDescriptor:
         mul=perm_compose,
         inv=perm_inverse,
         identity=tuple(range(n)),
-        haar=lambda stream: stream.permutation(n),
+        haar=lambda stream, k=None: (stream.permutation(n) if k is None
+                                     else [stream.permutation(n) for _ in range(k)]),
         elements=[tuple(p) for p in _itertools_permutations(range(n))],
     )
 
@@ -181,7 +207,7 @@ def trivial_group() -> GroupDescriptor:
         mul=lambda a, b: e,
         inv=lambda g: e,
         identity=e,
-        haar=lambda stream: e,
+        haar=lambda stream, n=None: e,  # the one element broadcasts as a stack
         elements=[e],
     )
 
@@ -202,15 +228,16 @@ def semidirect_product(
     Multiplication is (n, h)(n', h') = (n * rho(h, n'), h h') and inversion
     (n, h)^-1 = (rho(h^-1, n^-1), h^-1).  The compatibility condition
     rho(h, n * n') = rho(h, n) * rho(h, n') is verified on random samples
-    at construction.
+    at construction, drawn as one stack per role; rho is applied one
+    element at a time, so it need not accept stacks.
     """
     stream = RandomStream(2**32 + 7)
-    if N.random_element is not None and H.random_element is not None:
+    if check_samples and N.random_element is not None and H.random_element is not None:
+        hs = H.random_element(stream.split(0), check_samples)
+        n1s = N.random_element(stream.split(1), check_samples)
+        n2s = N.random_element(stream.split(2), check_samples)
         for i in range(check_samples):
-            s = stream.split(i)
-            h = H.random_element(s.split(0))
-            n1 = N.random_element(s.split(1))
-            n2 = N.random_element(s.split(2))
+            h, n1, n2 = _row(hs, i), _row(n1s, i), _row(n2s, i)
             lhs = rho(h, N.mul(n1, n2))
             rhs = N.mul(rho(h, n1), rho(h, n2))
             if not elements_close(lhs, rhs):
@@ -231,13 +258,13 @@ def semidirect_product(
 
     haar = None
     if N.haar is not None and H.haar is not None:
-        haar = lambda stream: (N.haar(stream.split(0)), H.haar(stream.split(1)))
+        haar = lambda stream, n=None: (N.haar(stream.split(0), n), H.haar(stream.split(1), n))
 
     random_element = None
     if N.random_element is not None and H.random_element is not None:
-        random_element = lambda stream: (
-            N.random_element(stream.split(0)),
-            H.random_element(stream.split(1)),
+        random_element = lambda stream, n=None: (
+            N.random_element(stream.split(0), n),
+            H.random_element(stream.split(1), n),
         )
 
     elements = None
@@ -266,5 +293,6 @@ def special_euclidean_group(d: int) -> GroupDescriptor:
     """SE(d) = T_d x| SO(d), elements (t, Q), product (t + Q t', Q Q')."""
     N = translation_group(d)
     H = orthogonal_group(d, special=True)
-    return semidirect_product(N, H, rho=lambda Q, t: Q @ t, name=f"SE({d})")
+    return semidirect_product(N, H, rho=lambda Q, t: (Q @ t[..., None])[..., 0],
+                              name=f"SE({d})")
 

@@ -93,6 +93,13 @@ class TestExitCodes:
         assert err.startswith("error: condition cap 1.0001 rejected 100 batches")
         assert "Traceback" not in err
 
+    def test_failed_run_leaves_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--variant", "plain_mlp", "--out", str(out)]
+                      + FAST + ["--condition-cap", "1.0001"])
+        assert rc == 2
+        assert not out.exists()
+
     def test_argparse_error_is_2(self, capsys):
         assert cli.main(["check", "not-a-suite"]) == 2
         assert cli.main([]) == 2

@@ -153,6 +153,13 @@ class TestOrthogonalInGl:
         with pytest.raises(NotPositiveDefiniteError):
             b.s(np.diag([1.0, -1.0]))
 
+    def test_section_checks_every_row_of_a_stack(self):
+        b = coset_bundle_orthogonal_in_gl(2)
+        P = np.stack([np.eye(2), 2.0 * np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(NotPositiveDefiniteError):
+            b.s(P)
+        assert np.array_equal(b.s(P[:2]), np.stack([np.eye(2), np.sqrt(2.0) * np.eye(2)]))
+
 
 class TestSemidirectBundles:
     def test_via_h_projection_and_section(self):

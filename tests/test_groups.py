@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from equisym.checks import check_group_axioms, standard_groups
+from equisym import checks
+from equisym.checks import check_group_axioms, standard_bundles, standard_groups
 from equisym.groups import (
     GroupError,
     NoHaarError,
@@ -137,15 +138,130 @@ class TestHaar:
             assert np.array_equal(single, _haar_orthogonal(d, RandomStream(d), False,
                                                             batch=(1,))[0])
 
-    def test_batched_special_rejected(self):
-        with pytest.raises(ValueError):
-            _haar_orthogonal(3, RandomStream(0), True, batch=(1,))
+    def test_batched_special_matches_single_draws(self):
+        # SO(d): the O(d) draw with column 0 negated where its det is -1
+        flipped = 0
+        for d in (2, 3, 4):
+            Qs = _haar_orthogonal(d, RandomStream(d), True, batch=(5,))
+            M = RandomStream(d).normal((5, d, d))
+            for i in range(5):
+                Q, R = np.linalg.qr(M[i])
+                Q = Q * np.sign(np.diag(R))
+                if np.linalg.det(Q) < 0:
+                    Q[:, 0] *= -1
+                    flipped += 1
+                assert np.array_equal(Qs[i], Q)
+            single = _haar_orthogonal(d, RandomStream(d), True)
+            assert np.array_equal(single, _haar_orthogonal(d, RandomStream(d), True,
+                                                            batch=(1,))[0])
+        assert flipped > 0
 
     def test_noncompact_has_no_haar(self):
         for G in (translation_group(2), general_linear_group(2),
                   special_euclidean_group(2)):
             with pytest.raises(NoHaarError):
                 haar_sample(G, RandomStream(0))
+
+
+def row(x, i):
+    """Row i of a stack; a pair of stacks gives a pair."""
+    return tuple(row(c, i) for c in x) if isinstance(x, tuple) else x[i]
+
+
+def assert_row_equal(stacked, single, i):
+    """Row i of a stacked result equals the single-element result, bit for
+    bit; a component that carries no stack axis broadcasts."""
+    if isinstance(single, tuple):
+        assert isinstance(stacked, tuple) and len(stacked) == len(single)
+        for a, b in zip(stacked, single):
+            assert_row_equal(a, b, i)
+        return
+    a = np.asarray(stacked)
+    a = a[i] if a.ndim == np.ndim(single) + 1 else a
+    assert a.shape == np.shape(single) and np.array_equal(a, single)
+
+
+ARRAY_GROUPS = [name for name in standard_groups() if name != "S_4"]
+N_STACK = 7
+
+
+class TestStacks:
+    @pytest.mark.parametrize("name", ARRAY_GROUPS)
+    def test_mul_and_inv_rowwise(self, name):
+        G = standard_groups()[name]
+        a = G.random_element(RandomStream(21), N_STACK)
+        b = G.random_element(RandomStream(22), N_STACK)
+        for stacked, single in [(G.mul(a, b), lambda i: G.mul(row(a, i), row(b, i))),
+                                (G.inv(a), lambda i: G.inv(row(a, i))),
+                                (G.mul(a, G.identity), lambda i: G.mul(row(a, i), G.identity)),
+                                (G.mul(G.identity, a), lambda i: G.mul(G.identity, row(a, i)))]:
+            for i in range(N_STACK):
+                assert_row_equal(stacked, single(i), i)
+
+    @pytest.mark.parametrize("name", list(standard_bundles()))
+    def test_bundle_maps_rowwise(self, name):
+        bundle = standard_bundles()[name]
+        G, H = bundle.group, bundle.phi.source
+        g = G.random_element(RandomStream(23), N_STACK)
+        h = H.random_element(RandomStream(24), N_STACK)
+        c = bundle.q(g)
+        for stacked, single in [
+            (c, lambda i: bundle.q(row(g, i))),
+            (bundle.s(c), lambda i: bundle.s(bundle.q(row(g, i)))),
+            (bundle.coset_action.apply(g, c),
+             lambda i: bundle.coset_action.apply(row(g, i), bundle.q(row(g, i)))),
+            (bundle.phi.map(h), lambda i: bundle.phi.map(row(h, i))),
+        ]:
+            for i in range(N_STACK):
+                assert_row_equal(stacked, single(i), i)
+
+    def test_special_orthogonal_rows(self):
+        for d in (2, 3, 4):
+            Qs = orthogonal_group(d, special=True).haar(RandomStream(d), 200)
+            assert Qs.shape == (200, d, d)
+            assert np.allclose(np.linalg.det(Qs), 1.0, atol=1e-12)
+            assert np.max(np.abs(Qs @ np.swapaxes(Qs, -1, -2) - np.eye(d))) <= 1e-12
+
+    def test_general_linear_rows_are_first_accepted_draws(self):
+        # a stack is the first n draws that pass the rejection test, taken
+        # one matrix at a time from the same stream; single draws follow
+        # the same formula
+        G = general_linear_group(2)
+        n = 3000
+        stack = G.random_element(RandomStream(31), n)
+        assert np.all(np.abs(np.linalg.det(stack)) > 1e-3)
+        assert np.all(np.linalg.cond(stack) < 1e3)
+        stream, ref, rejected = RandomStream(31), [], 0
+        while len(ref) < n:
+            A = stream.normal((2, 2))
+            if abs(np.linalg.det(A)) > 1e-3 and np.linalg.cond(A) < 1e3:
+                ref.append(A)
+            else:
+                rejected += 1
+        assert rejected > 0
+        assert np.array_equal(stack, np.array(ref))
+        assert np.array_equal(G.random_element(RandomStream(31)), ref[0])
+
+    def test_single_draws_unchanged(self):
+        # the reference formulas of single draws
+        stream = RandomStream(41)
+        assert np.array_equal(translation_group(3).random_element(stream),
+                              RandomStream(41).normal(3))
+        SE3 = special_euclidean_group(3)
+        t, Q = SE3.random_element(stream)
+        assert np.array_equal(t, stream.split(0).normal(3))
+        assert np.array_equal(Q, _haar_orthogonal(3, stream.split(1), True))
+        assert SE3.mul((t, Q), (t, Q))[0].tobytes() == (t + Q @ t).tobytes()
+
+    def test_element_distance_broadcasts_single_element(self):
+        G = orthogonal_group(3)
+        Qs = G.random_element(RandomStream(5), 4)
+        # row 0 matches exactly, so the max must come from the other rows
+        worst = element_distance(Qs, Qs[0])
+        assert worst == max(element_distance(Q, Qs[0]) for Q in Qs) > 0
+        assert element_distance(Qs[0], Qs) == worst
+        assert element_distance(G.mul(Qs, G.inv(Qs)), G.identity) <= 1e-12
+        assert element_distance(Qs, np.zeros(2)) == float("inf")
 
 
 class TestPermutations:
@@ -226,3 +342,17 @@ class TestAxiomSuite:
     def test_axioms(self, name):
         result = check_group_axioms(standard_groups()[name], n_samples=200)
         assert result.passed, result.line()
+
+    def test_laws_draw_from_few_streams(self, monkeypatch):
+        # each role's samples come from one stream, not one stream per sample
+        built = [0]
+        init = RandomStream.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RandomStream, "__init__", counting_init)
+        checks.run_suite("groups")
+        checks.run_suite("cosets")
+        assert 0 < built[0] < 1000
