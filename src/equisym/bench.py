@@ -306,7 +306,12 @@ def equivariance_gap(model: InversionModel, params, X: np.ndarray, Qs: np.ndarra
     the Haar samples of the symmetrised variants premultiplied by Q_i; for
     symmetrised models the identity then holds pointwise up to float error.
     """
+    if n_mc < 1:
+        raise ValueError(f"equivariance_gap needs n_mc >= 1, got {n_mc}")
     Qs = np.asarray(Qs, dtype=float)
+    if len(X) != len(Qs):
+        raise ValueError(f"equivariance_gap needs one Q per row of X, got "
+                         f"len(X) = {len(X)} and len(Qs) = {len(Qs)}")
     N, d = Qs.shape[0], Qs.shape[-1]
     Qt = np.transpose(Qs, (0, 2, 1))
     if np.any(np.linalg.norm(Qt @ Qs - np.eye(d), axis=(1, 2)) > 1e-9):

@@ -358,9 +358,8 @@ def check_end_to_end_gradients() -> CheckResult:
     X = bench.sample_batch(2, 4, stream.split(1))
     frozen = stream.split(2)
 
-    def objective(p):
-        obj, _ = model.objective_and_grads(p, X, frozen)
-        return obj
+    def objective(p):  # objective_and_grads(p, X, frozen)[0], without its backward pass
+        return float(bench._batch_losses(X, model.draw(p, X, frozen)).mean())
 
     obj, grads = model.objective_and_grads(params, X, frozen)
     fd = finite_difference_grads(objective, params)

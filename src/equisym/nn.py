@@ -52,8 +52,10 @@ def mlp_forward(params: List[np.ndarray], x) -> Tuple[np.ndarray, dict]:
     n_layers = len(params) // 2
     for i in range(n_layers):
         inputs.append(h)
-        z = h @ params[2 * i] + params[2 * i + 1]
-        h = np.tanh(z) if i < n_layers - 1 else z
+        h = h @ params[2 * i]  # a fresh array, so the bias and tanh reuse it
+        h += params[2 * i + 1]
+        if i < n_layers - 1:
+            np.tanh(h, out=h)
     return h, {"inputs": inputs}
 
 
@@ -69,7 +71,9 @@ def mlp_backward(params: List[np.ndarray], cache: dict, dout) -> Tuple[List[np.n
             # dh is the gradient w.r.t. tanh(z); recompute tanh(z) from the
             # next layer's stored input
             a = inputs[i + 1]
-            dz = dh * (1.0 - a * a)
+            dz = a * a  # dh * (1 - a^2) in one fresh array; the product commutes exactly
+            np.subtract(1.0, dz, out=dz)
+            dz *= dh
         else:
             dz = dh
         grads[2 * i] = h_in.T @ dz

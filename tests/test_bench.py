@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equisym import bench, nn
+from equisym import bench, checks, nn
 from equisym.checks import check_end_to_end_gradients, check_model_gaps
 from equisym.stochmap import RandomStream
 
@@ -217,6 +217,21 @@ class TestModel:
         assert gaps.shape == (3,)
         assert np.max(gaps) <= 1e-12
 
+    def test_gap_rejects_bad_arguments_before_drawing(self):
+        m = bench.InversionModel("sym_haar", d=2, hidden=8)
+        params = m.init(RandomStream(0))
+        X = bench.sample_batch(2, 5, RandomStream(1))
+        Qs = bench._haar_batch(2, 5, RandomStream(2))
+        calls = []
+        real_draw = m.draw
+        m.draw = lambda *args, **kwargs: calls.append(args) or real_draw(*args, **kwargs)
+        for n_mc in (0, -1):
+            with pytest.raises(ValueError, match="n_mc"):
+                bench.equivariance_gap(m, params, X, Qs, RandomStream(3), n_mc=n_mc)
+        with pytest.raises(ValueError, match="len\\(X\\) = 3 and len\\(Qs\\) = 5"):
+            bench.equivariance_gap(m, params, X[:3], Qs, RandomStream(3))
+        assert calls == []
+
     def test_untrained_sym_gaps_below_tolerance(self):
         for result in check_model_gaps(dims=(2,), n_pairs=20):
             assert result.passed, result.line()
@@ -260,6 +275,49 @@ class TestGradients:
         params = m.init(RandomStream(0))
         with pytest.raises(ValueError):
             m.objective_and_grads(params, np.zeros((0, 2, 2)), RandomStream(1))
+
+    def test_nonfinite_loss_names_its_row(self):
+        m = bench.InversionModel("plain_mlp", d=2, hidden=4)
+        params = m.init(RandomStream(0))
+        params[0][0, 0] = np.nan
+        X = bench.sample_batch(2, 3, RandomStream(1))
+        with pytest.raises(bench.DivergenceError, match="batch index 0"):
+            m.objective_and_grads(params, X, RandomStream(2))
+
+    @pytest.mark.parametrize("variant", bench.VARIANTS)
+    def test_end_to_end_check_objective_is_the_training_objective(self, variant):
+        # check_end_to_end_gradients differences the loss of model.draw, so
+        # that no backward pass runs per evaluation; it must be exactly the
+        # objective that objective_and_grads returns, at the check's point
+        # and at a perturbed one
+        m = bench.InversionModel(variant, d=2, hidden=8)
+        stream = RandomStream(13)
+        params = m.init(stream.split(0))
+        X = bench.sample_batch(2, 4, stream.split(1))
+        frozen = stream.split(2)
+        for p in (params, [a + 1e-5 for a in params]):
+            drawn = float(bench._batch_losses(X, m.draw(p, X, frozen)).mean())
+            assert drawn == m.objective_and_grads(p, X, frozen)[0]
+
+    def test_gradients_suite_runs_backward_once(self, monkeypatch):
+        # the finite differences of the gradients suite need objectives
+        # only; 481 objective_and_grads and 963 mlp_backward calls before
+        counts = {"objective": 0, "mlp_backward": 0}
+
+        def counted(owner, name, key):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(bench.InversionModel, "objective_and_grads", "objective")
+        counted(nn, "mlp_backward", "mlp_backward")
+        assert all(r.passed for r in checks.run_suite("gradients"))
+        assert counts["objective"] <= 1
+        assert counts["mlp_backward"] <= 3
 
 
 class TestTraining:
@@ -359,6 +417,16 @@ class TestTraining:
             return [np.full_like(g, np.inf) for g in grads], dx
 
         monkeypatch.setattr(nn, "mlp_backward", inf_backward)
+        config = bench.TrainConfig(variant="plain_mlp", steps=5, hidden=8,
+                                   batch_size=16, seed=0)
+        result = bench.train(config)
+        assert result.diverged
+        assert len(result.history) == 0
+
+    def test_exploding_objective_is_divergence(self, monkeypatch):
+        monkeypatch.setattr(bench.InversionModel, "objective_and_grads",
+                            lambda self, params, X, stream:
+                            (2e6, [np.zeros_like(p) for p in params]))
         config = bench.TrainConfig(variant="plain_mlp", steps=5, hidden=8,
                                    batch_size=16, seed=0)
         result = bench.train(config)

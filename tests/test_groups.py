@@ -24,6 +24,19 @@ from equisym.groups import (
 from equisym.stochmap import RandomStream
 
 
+def ks_pvalue(samples, cdf) -> float:
+    """One-sample Kolmogorov-Smirnov test of samples against a continuous
+    CDF: the statistic D with Stephens' small-n correction, and the p-value
+    from the Kolmogorov series 2 sum_j (-1)^(j-1) exp(-2 j^2 lambda^2)."""
+    F = cdf(np.sort(samples))
+    n = len(F)
+    i = np.arange(1, n + 1)
+    D = max(np.max(i / n - F), np.max(F - (i - 1) / n))
+    lam = (np.sqrt(n) + 0.12 + 0.11 / np.sqrt(n)) * D
+    j = np.arange(1, 101)
+    return float(np.clip(2 * np.sum((-1.0) ** (j - 1) * np.exp(-2 * (j * lam) ** 2)), 0, 1))
+
+
 def rot(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
@@ -155,6 +168,24 @@ class TestHaar:
             assert np.array_equal(single, _haar_orthogonal(d, RandomStream(d), True,
                                                             batch=(1,))[0])
         assert flipped > 0
+
+    # The two laws below test the distribution itself, which the formula
+    # tests above do not: a sampler that dropped the QR sign fix would still
+    # match a formula that dropped it too.  20,000 draws at a fixed seed;
+    # for a Haar sampler p is uniform, so a seed fails with probability
+    # 1e-3.  Without the sign fix both give p = 0.0.
+
+    def test_so3_rotation_angle_law(self):
+        # the angle of a Haar rotation of R^3 has CDF (theta - sin theta) / pi
+        Q = orthogonal_group(3, special=True).haar(RandomStream(2024), 20000)
+        theta = np.arccos(np.clip((np.trace(Q, axis1=1, axis2=2) - 1) / 2, -1, 1))
+        assert ks_pvalue(theta, lambda t: (t - np.sin(t)) / np.pi) > 1e-3
+
+    def test_o2_first_column_angle_law(self):
+        # the first column of a Haar O(2) element is uniform on the circle
+        Q = orthogonal_group(2).haar(RandomStream(2025), 20000)
+        phi = np.arctan2(Q[:, 1, 0], Q[:, 0, 0])
+        assert ks_pvalue(phi, lambda t: (t + np.pi) / (2 * np.pi)) > 1e-3
 
     def test_noncompact_has_no_haar(self):
         for G in (translation_group(2), general_linear_group(2),

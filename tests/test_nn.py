@@ -99,6 +99,50 @@ class TestMlp:
             fd = (w[0] @ up[0] - w[0] @ dn[0]) / (2 * h)
             assert abs(dx[0, j] - fd) <= 1e-6
 
+    @pytest.mark.parametrize("B", [1, 4, 512])
+    @pytest.mark.parametrize("sizes", [(4, 64, 64, 4), (6, 8, 4)])
+    def test_matches_out_of_place_reference_bitwise(self, sizes, B):
+        # the textbook out-of-place MLP, written out here as the reference;
+        # the library computes the bias add, tanh and tanh derivative in
+        # place, which must give the same bytes and leave the inputs alone
+        def reference_forward(params, x):
+            h, inputs = x, []
+            n_layers = len(params) // 2
+            for i in range(n_layers):
+                inputs.append(h)
+                z = h @ params[2 * i] + params[2 * i + 1]
+                h = np.tanh(z) if i < n_layers - 1 else z
+            return h, inputs
+
+        def reference_backward(params, inputs, dh):
+            grads = [None] * len(params)
+            for i in range(len(inputs) - 1, -1, -1):
+                a = inputs[i + 1] if i < len(inputs) - 1 else None
+                dz = dh if a is None else dh * (1.0 - a * a)
+                grads[2 * i] = inputs[i].T @ dz
+                grads[2 * i + 1] = dz.sum(axis=0)
+                dh = dz @ params[2 * i].T
+            return grads, dh
+
+        stream = RandomStream(B)
+        params = nn.init_mlp(sizes, stream.split(0))
+        params[1::2] = [stream.split(1).split(i).normal(b.shape)
+                        for i, b in enumerate(params[1::2])]
+        x = stream.split(2).normal((B, sizes[0]))
+        dout = stream.split(3).normal((B, sizes[-1]))
+        saved = [a.copy() for a in [x, dout] + params]
+
+        y, cache = nn.mlp_forward(params, x)
+        grads, dx = nn.mlp_backward(params, cache, dout)
+        y_ref, inputs_ref = reference_forward(params, x)
+        grads_ref, dx_ref = reference_backward(params, inputs_ref, dout)
+
+        assert np.array_equal(y, y_ref)
+        assert all(np.array_equal(a, b) for a, b in zip(cache["inputs"], inputs_ref))
+        assert all(np.array_equal(a, b) for a, b in zip(grads, grads_ref))
+        assert np.array_equal(dx, dx_ref)
+        assert all(np.array_equal(a, b) for a, b in zip([x, dout] + params, saved))
+
 
 class TestGramSchmidt:
     def test_output_orthonormal(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from equisym import checks
 from equisym.checks import janossy_setup
 from equisym.equivariance import (
     Action,
@@ -24,6 +25,7 @@ from equisym.stochmap import (
     RandomStream,
     Space,
     StochasticMap,
+    compose,
     distributions_equal,
     enumerate_distribution,
     finite_map,
@@ -189,6 +191,50 @@ class TestEnumeratorPropagation:
         atoms = enumerate_distribution(sym, (7.0, 7.0, 1.0))
         assert distributions_equal(atoms, [(Fraction(2, 3), 7.0),
                                            (Fraction(1, 3), 1.0)])
+
+
+class TestCheckFailBranches:
+    """Negative controls: each exact symmetrisation check reports FAIL when
+    the map it checks breaks the property it asserts."""
+
+    def test_janossy_fails_without_symmetrisation(self, monkeypatch):
+        # k = first coordinate is neither invariant nor the uniform average
+        # over coordinates, so both the equivariance and the average test fail
+        monkeypatch.setattr(checks, "symmetrise", lambda k, spec: k)
+        result = checks.check_janossy_equivariance(3)
+        assert not result.passed and result.worst_error == 1.0
+
+    def test_janossy_fails_on_map_that_is_not_invariant(self, monkeypatch):
+        # the uniform average over coordinates, except at strictly
+        # descending points; none of the check's points is one, so only the
+        # equivariance test, at the permuted points, can fail
+        def outcomes(x):
+            if all(a > b for a, b in zip(x, x[1:])):
+                return [(Fraction(1), x[0])]
+            return [(Fraction(1, len(x)), v) for v in x]
+
+        monkeypatch.setattr(checks, "symmetrise", lambda k, spec: finite_map(
+            outcomes, spec.action_x.space, spec.action_y.space))
+        result = checks.check_janossy_equivariance(3)
+        assert not result.passed and result.worst_error == 1.0
+
+    def test_janossy_fails_on_invariant_map_with_wrong_average(self, monkeypatch):
+        # min(x) is invariant, so only the uniform-average test can fail
+        monkeypatch.setattr(checks, "symmetrise", lambda k, spec: lift_deterministic(
+            min, spec.action_x.space, spec.action_y.space))
+        result = checks.check_janossy_equivariance(3)
+        assert not result.passed and result.worst_error == 1.0
+
+    def test_idempotence_fails_when_symmetrising_twice_differs(self, monkeypatch):
+        # each application precomposes with the transposition of the first
+        # two coordinates, so twice is k itself and once is not
+        def swap_first_two(k, spec):
+            swap = lift_deterministic(lambda x: (x[1], x[0]) + x[2:], k.domain, k.domain)
+            return compose(k, swap)
+
+        monkeypatch.setattr(checks, "symmetrise", swap_first_two)
+        result = checks.check_idempotence()
+        assert not result.passed and result.worst_error == 1.0
 
 
 class TestAverage:
