@@ -26,11 +26,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import nn
-from .groups import _haar_orthogonal
-from .stochmap import RandomStream
+from .groups import REJECTION_LIMIT, RejectionError, _haar_orthogonal, sample_accepted
+from .stochmap import RandomStream, monte_carlo_mean
 
 VARIANTS = ("plain_mlp", "sym_haar", "sym_recursive", "canonical_deterministic")
-GS_RETRIES = 3  # fresh gamma-noise draws before a near-singular backbone output is fatal
+SUMMARY_FIELDS = ("variant", "d", "final_loss", "equiv_gap", "seed", "diverged")
 
 
 class ConfigurationError(ValueError):
@@ -80,23 +80,11 @@ def _haar_batch(d: int, B: int, stream: RandomStream) -> np.ndarray:
 def sample_batch(d: int, B: int, stream: RandomStream,
                  condition_cap: float = 1e4) -> np.ndarray:
     """B Gaussian matrices with cond <= cap; the targets are their inverses."""
-    X = np.empty((B, d, d))
-    filled = 0
-    rejections = 0
-    while filled < B:
-        cand = stream.normal((B - filled, d, d))
-        ok = cand[nn.cond_within(cand, condition_cap)]
-        if len(ok) == 0:
-            rejections += 1
-            if rejections >= 100:
-                raise ConfigurationError(
-                    f"condition cap {condition_cap} rejected 100 batches in a row"
-                )
-        else:
-            rejections = 0
-        X[filled:filled + len(ok)] = ok
-        filled += len(ok)
-    return X
+    try:
+        return sample_accepted(stream, B, d, lambda M: nn.cond_within(M, condition_cap))
+    except RejectionError:
+        raise ConfigurationError(f"condition cap {condition_cap} rejected "
+                                 f"{REJECTION_LIMIT} batches in a row") from None
 
 
 def loss(y: np.ndarray, yhat: np.ndarray) -> float:
@@ -151,6 +139,8 @@ class InversionModel:
 
         With couple=Q, X is expected to already be Q.X and the Haar base
         draws are premultiplied by Q, realizing the coupling G -> QG.
+        Raises nn.DegenerateProjectionError if a sym_recursive backbone
+        output is too close to singular for Gram-Schmidt.
         """
         B, d = X.shape[0], self.d
         if self.variant == "plain_mlp":
@@ -165,17 +155,12 @@ class InversionModel:
             return C1, None
         # sym_recursive: C = C1 * GS(nn_g0([flat(C1^T X); eta]))
         Z1 = np.transpose(C1, (0, 2, 1)) @ X
-        for attempt in range(GS_RETRIES):
-            eta = stream.split(1 + attempt).normal((B, d))
-            inp = np.concatenate([Z1.reshape(B, d * d), eta], axis=1)
-            U_flat, mlp_cache = nn.mlp_forward(pg, inp)
-            U = U_flat.reshape(B, d, d)
-            if np.all(nn.cond_within(U, nn.DEGENERACY_CAP)):
-                break
-        else:
-            raise nn.DegenerateProjectionError(
-                "gamma backbone produced near-singular output on every retry"
-            )
+        eta = stream.split(1).normal((B, d))
+        inp = np.concatenate([Z1.reshape(B, d * d), eta], axis=1)
+        U_flat, mlp_cache = nn.mlp_forward(pg, inp)
+        U = U_flat.reshape(B, d, d)
+        if not np.all(nn.cond_within(U, nn.DEGENERACY_CAP)):
+            raise nn.DegenerateProjectionError("gamma backbone produced a near-singular output")
         Qu, gs_cache = nn.gram_schmidt_forward(U)
         C = C1 @ Qu
         cache = {"C1": C1, "Qu": Qu, "mlp_cache": mlp_cache, "gs_cache": gs_cache}
@@ -217,11 +202,7 @@ class InversionModel:
         if n_mc < 1:
             raise ValueError("predict needs n_mc >= 1")
         n = 1 if self.deterministic else n_mc
-        acc = None
-        for i in range(n):
-            y = self.draw(params, X, stream.split(i))
-            acc = y if acc is None else acc + y
-        return acc / n
+        return monte_carlo_mean(lambda s: self.draw(params, X, s), stream, n)
 
     # -- forward + backward ----------------------------------------------
 
@@ -352,30 +333,31 @@ def write_history_csv(path: str, history: List[Tuple[int, float]]) -> None:
             fh.write("%d,%.17g\n" % (step, obj))
 
 
-def write_summary(path: str, variant: str, d: int, final_loss: float,
-                  equiv_gap: float, seed: int, diverged: bool) -> None:
-    summary = {
-        "variant": variant,
-        "d": d,
-        "final_loss": final_loss,
-        "equiv_gap": equiv_gap,
-        "seed": seed,
-        "diverged": diverged,
-    }
+def write_summary(path: str, result: dict) -> None:
+    """Write the SUMMARY_FIELDS of a run_experiment result as JSON."""
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump({key: result[key] for key in SUMMARY_FIELDS}, fh, indent=2)
         fh.write("\n")
 
 
 def run_experiment(config: TrainConfig) -> dict:
-    """Train one variant and evaluate it; returns the summary fields."""
+    """Train one variant and evaluate it; returns the summary fields.
+
+    A degenerate gamma draw during evaluation ends the run as diverged, as
+    it does during training, with NaN final_loss and equiv_gap.
+    """
     result = train(config)
     model = InversionModel(config.variant, config.d, config.hidden)
     eval_stream = RandomStream(config.seed).split(2)
-    mean_loss, gap = evaluate(
-        model, result.params, config.n_test, config.n_mc_eval, eval_stream,
-        config.condition_cap,
-    )
+    diverged = result.diverged
+    try:
+        mean_loss, gap = evaluate(
+            model, result.params, config.n_test, config.n_mc_eval, eval_stream,
+            config.condition_cap,
+        )
+    except nn.DegenerateProjectionError:
+        mean_loss = gap = float("nan")
+        diverged = True
     return {
         "variant": config.variant,
         "d": config.d,
@@ -384,5 +366,5 @@ def run_experiment(config: TrainConfig) -> dict:
         "equiv_gap": gap,
         "history": result.history,
         "params": result.params,
-        "diverged": result.diverged,
+        "diverged": diverged,
     }

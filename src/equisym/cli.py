@@ -133,11 +133,7 @@ def run_train(args, out=None) -> int:
     tag = f"{config.variant}_d{config.d}_seed{config.seed}"
     write_history_csv(os.path.join(outdir, f"history_{tag}.csv"), result["history"])
     nn.save_params(os.path.join(outdir, f"params_{tag}.txt"), result["params"])
-    write_summary(
-        os.path.join(outdir, f"summary_{tag}.json"),
-        result["variant"], result["d"], result["final_loss"],
-        result["equiv_gap"], result["seed"], result["diverged"],
-    )
+    write_summary(os.path.join(outdir, f"summary_{tag}.json"), result)
     status = "diverged" if result["diverged"] else "ok"
     print(
         f"{tag}: final_loss={result['final_loss']:.6g} "

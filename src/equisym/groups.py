@@ -32,6 +32,7 @@ from .stochmap import RandomStream
 
 AXIOM_TOL = 1e-9
 DET_TOL = 1e-12
+REJECTION_LIMIT = 100  # batches in a row that accept nothing before a rejection sampler gives up
 
 
 class GroupError(ValueError):
@@ -44,6 +45,10 @@ class NoHaarError(GroupError):
 
 class SingularityError(GroupError):
     """General linear element with vanishing determinant."""
+
+
+class RejectionError(GroupError):
+    """A rejection sampler accepted nothing in REJECTION_LIMIT batches in a row."""
 
 
 @dataclass
@@ -102,6 +107,22 @@ def elements_close(g, h, tol: float = AXIOM_TOL) -> bool:
     return element_distance(g, h) <= tol
 
 
+def sample_accepted(stream: RandomStream, n: int, d: int, accept: Callable) -> np.ndarray:
+    """n Gaussian (d, d) matrices that pass accept, which maps a stack to one
+    bool per matrix; the shortfall is redrawn from the same stream."""
+    X = np.empty((n, d, d))
+    filled = empty_batches = 0
+    while filled < n:
+        cand = stream.normal((n - filled, d, d))
+        ok = cand[accept(cand)]
+        empty_batches = 0 if len(ok) else empty_batches + 1
+        if empty_batches == REJECTION_LIMIT:
+            raise RejectionError(f"rejected {REJECTION_LIMIT} batches in a row")
+        X[filled:filled + len(ok)] = ok
+        filled += len(ok)
+    return X
+
+
 # ---------------------------------------------------------------------------
 # Matrix groups
 
@@ -146,15 +167,9 @@ def general_linear_group(d: int) -> GroupDescriptor:
     def grandom(stream, n=None):
         # Gaussian matrices kept where |det| > 1e-3 and cond < 1e3, which
         # keeps float round-off in axiom/coset checks well below the 1e-9
-        # tolerance; the shortfall is redrawn from the same stream
-        B = 1 if n is None else n
-        X = np.empty((B, d, d))
-        filled = 0
-        while filled < B:
-            cand = stream.normal((B - filled, d, d))
-            ok = cand[(np.abs(np.linalg.det(cand)) > 1e-3) & (np.linalg.cond(cand) < 1e3)]
-            X[filled:filled + len(ok)] = ok
-            filled += len(ok)
+        # tolerance
+        X = sample_accepted(stream, 1 if n is None else n, d, lambda M: (
+            (np.abs(np.linalg.det(M)) > 1e-3) & (np.linalg.cond(M) < 1e3)))
         return X[0] if n is None else X
 
     return GroupDescriptor(

@@ -122,6 +122,16 @@ def sample(k: StochasticMap, x, stream: RandomStream):
     return k.sampler(x, stream)
 
 
+def monte_carlo_mean(draw: Callable, stream: RandomStream, n: int):
+    """(1/n) sum_i draw(stream.split(i)), summed in order i = 0, ..., n - 1;
+    n must be at least 1."""
+    acc = None
+    for i in range(n):
+        y = draw(stream.split(i))
+        acc = y if acc is None else acc + y
+    return acc / n
+
+
 def lift_deterministic(f: Callable, domain: Space, codomain: Space) -> StochasticMap:
     """Wrap a deterministic function as a stream-independent stochastic map."""
 

@@ -28,6 +28,7 @@ from .stochmap import (
     bind,
     distributions_equal,
     lift_deterministic,
+    monte_carlo_mean,
 )
 
 GAMMA_CHECK_SEED = 1234  # stream of the construction-time spot-check of gamma
@@ -91,26 +92,15 @@ def _verify_gamma(spec: "SymmetrisationSpec") -> None:
                     f"finite-support gamma fails exact equivariance at test point {i}"
                 )
         else:
-            n = 400
-            lhs = _mean_point(spec.gamma, gx, stream.split(10_000 + i), n)
-            rhs_draws = _mean_point(
-                spec.gamma, x, stream.split(20_000 + i), n, post=lambda c: act(g, c)
-            )
-            if not elements_close(lhs, rhs_draws, 0.25):
+            sampler = spec.gamma.sampler
+            lhs = monte_carlo_mean(lambda s: _flatten_point(sampler(gx, s)),
+                                   stream.split(10_000 + i), 400)
+            rhs = monte_carlo_mean(lambda s: _flatten_point(act(g, sampler(x, s))),
+                                   stream.split(20_000 + i), 400)
+            if not elements_close(lhs, rhs, 0.25):
                 raise GammaNotEquivariantError(
                     f"gamma fails statistical equivariance check at test point {i}"
                 )
-
-
-def _mean_point(gamma: StochasticMap, x, stream: RandomStream, n: int, post=None):
-    acc = None
-    for j in range(n):
-        c = gamma.sampler(x, stream.split(j))
-        if post is not None:
-            c = post(c)
-        flat = _flatten_point(c)
-        acc = flat if acc is None else acc + flat
-    return acc / n
 
 
 def _flatten_point(c):
@@ -226,12 +216,8 @@ def average(
             raise ValueError("monte_carlo averaging needs n_samples >= 1")
 
         def f(x):
-            stream = RandomStream(seed)
-            acc = None
-            for i in range(n_samples):
-                y = np.asarray(k.sampler(x, stream.split(i)), dtype=float)
-                acc = y if acc is None else acc + y
-            return acc / n_samples
+            return monte_carlo_mean(lambda s: np.asarray(k.sampler(x, s), dtype=float),
+                                    RandomStream(seed), n_samples)
 
     else:
         raise ValueError(f"unknown averaging mode {mode!r}")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -6,7 +7,10 @@ import pytest
 
 from equisym import bench, checks, nn
 from equisym.checks import check_end_to_end_gradients, check_model_gaps
-from equisym.stochmap import RandomStream
+from equisym.equivariance import Action, coset_bundle_trivial
+from equisym.groups import orthogonal_group
+from equisym.stochmap import RandomStream, Space, StochasticMap, lift_deterministic
+from equisym.symcore import SymmetrisationSpec, symmetrise
 
 
 class TestConfig:
@@ -67,6 +71,18 @@ class TestData:
     def test_impossible_cap_raises(self):
         with pytest.raises(bench.ConfigurationError):
             bench.sample_batch(2, 4, RandomStream(2), condition_cap=1e-6)
+
+    # SHA-256 (float64 little-endian) of sample_batch stacks, recorded before
+    # the condition cap shared groups.sample_accepted with GL(d); cap 30
+    # rejects 11 rows over three batches, so the redraw path runs too
+    @pytest.mark.parametrize("cap,digest", [
+        (1e4, "38557d13871eed8004dadc3433d2b5acdd3125db942a86be901e7b1525e8b59b"),
+        (30.0, "792f271ff00a541533e8bb65568c3fe49ec7364118df1a6e158050f0ebfd904c"),
+    ])
+    def test_sample_batch_pinned(self, cap, digest):
+        X = bench.sample_batch(3, 64, RandomStream(32), cap)
+        assert X.shape == (64, 3, 3)
+        assert hashlib.sha256(np.ascontiguousarray(X, dtype="<f8").tobytes()).hexdigest() == digest
 
     def test_haar_batch_orthogonal(self):
         Qs = bench._haar_batch(3, 50, RandomStream(4))
@@ -244,6 +260,64 @@ class TestModel:
         mean = m.predict(params, X, 5, stream)
         acc = sum(m.draw(params, X, stream.split(i)) for i in range(5))
         assert np.allclose(mean, acc / 5)
+
+
+class TestSymmetriseCombinator:
+    """The benchmark's draws are symcore.symmetrise on stacks, bit for bit:
+    the trivial bundle over O(d), X -> QX and Y -> YQ^T, k the lifted MLP."""
+
+    SEEDS = range(20)
+
+    @staticmethod
+    def haar_spec(d, coset_y=False):
+        """(bundle, stacks, spec) with gamma a Haar stack, one row per input;
+        coset_y makes the Y-action the bundle's coset action."""
+        G = orthogonal_group(d)
+        bundle = coset_bundle_trivial(G)
+        stacks = Space(f"stacks of {d}x{d}")
+        gamma = StochasticMap(stacks, bundle.coset_space, lambda X, s: G.haar(s, len(X)))
+        spec = SymmetrisationSpec(
+            bundle, Action(G, stacks, lambda g, X: g @ X),
+            bundle.coset_action if coset_y else
+            Action(G, stacks, lambda g, Y: Y @ np.swapaxes(g, -1, -2)), gamma)
+        return bundle, stacks, spec
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("variant", ["sym_haar", "canonical_deterministic"])
+    def test_draw_is_symmetrise(self, variant, d):
+        model = bench.InversionModel(variant, d, hidden=16)
+        bundle, stacks, spec = self.haar_spec(d)
+        if variant == "canonical_deterministic":
+            spec = dataclasses.replace(spec, gamma=lift_deterministic(
+                lambda X: nn.gram_schmidt_forward(X)[0], stacks, bundle.coset_space))
+        for seed in self.SEEDS:
+            params = model.init(RandomStream(seed))
+            k = lift_deterministic(
+                lambda Z: nn.mlp_forward(params[:6], Z.reshape(len(Z), d * d))[0].reshape(Z.shape),
+                stacks, stacks)
+            X = bench.sample_batch(d, 128, RandomStream(1000 + seed))
+            s = RandomStream(2000 + seed)
+            assert np.array_equal(symmetrise(k, spec).sampler(X, s), model.draw(params, X, s))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_recursive_gamma_is_symmetrise(self, d):
+        # gamma0(Z, s) = GS(mlp([Z; eta])) with eta ~ s, symmetrised along the
+        # Haar spec whose Y-action is the coset action
+        model = bench.InversionModel("sym_recursive", d, hidden=16)
+        bundle, stacks, inner = self.haar_spec(d, coset_y=True)
+        for seed in self.SEEDS:
+            params = model.init(RandomStream(seed))
+            pg = params[6:]
+
+            def gamma0(Z, s):
+                B = len(Z)
+                inp = np.concatenate([Z.reshape(B, d * d), s.normal((B, d))], axis=1)
+                return nn.gram_schmidt_forward(nn.mlp_forward(pg, inp)[0].reshape(B, d, d))[0]
+
+            gamma = symmetrise(StochasticMap(stacks, bundle.coset_space, gamma0), inner)
+            X = bench.sample_batch(d, 128, RandomStream(1000 + seed))
+            s = RandomStream(2000 + seed)
+            assert np.array_equal(gamma.sampler(X, s), model._draw_coset(pg, X, s)[0])
 
 
 class TestGradients:
@@ -433,22 +507,21 @@ class TestTraining:
         assert result.diverged
         assert len(result.history) == 0
 
-    def test_degenerate_gamma_is_divergence(self, monkeypatch):
-        # every gamma-backbone output counts as near-singular, so _draw_coset
-        # uses up its GS_RETRIES; the input condition cap is left alone
-        real_cond_within = nn.cond_within
-
-        def reject_at_degeneracy_cap(M, cap):
-            if cap == nn.DEGENERACY_CAP:
-                return np.zeros(np.shape(M)[:-2], dtype=bool)
-            return real_cond_within(M, cap)
-
-        monkeypatch.setattr(nn, "cond_within", reject_at_degeneracy_cap)
+    def test_degenerate_gamma_is_divergence(self, degenerate_gamma):
+        # the first _draw_coset raises (see the degenerate_gamma fixture)
         config = bench.TrainConfig(variant="sym_recursive", steps=5, hidden=8,
                                    batch_size=16, seed=0)
         result = bench.train(config)
         assert result.diverged
         assert len(result.history) == 0
+
+    def test_degenerate_gamma_in_evaluate_is_divergence(self, degenerate_gamma):
+        # with no training step, the first degenerate draw is evaluate's
+        config = bench.TrainConfig(variant="sym_recursive", steps=0, hidden=8,
+                                   n_mc_eval=4, n_test=16, seed=0)
+        summary = bench.run_experiment(config)
+        assert summary["diverged"]
+        assert np.isnan(summary["final_loss"]) and np.isnan(summary["equiv_gap"])
 
     def test_run_experiment_summary_fields(self):
         config = bench.TrainConfig(variant="sym_haar", steps=10, hidden=8,
@@ -514,7 +587,9 @@ class TestArtifacts:
         import json
 
         path = str(tmp_path / "summary.json")
-        bench.write_summary(path, "sym_haar", 2, 0.4, 1e-8, seed=7, diverged=False)
+        bench.write_summary(path, {"variant": "sym_haar", "d": 2, "final_loss": 0.4,
+                                   "equiv_gap": 1e-8, "seed": 7, "diverged": False,
+                                   "history": [(1, 0.5)], "params": []})
         data = json.loads(Path(path).read_text())
         assert data == {"variant": "sym_haar", "d": 2, "final_loss": 0.4,
                         "equiv_gap": 1e-8, "seed": 7, "diverged": False}

@@ -185,6 +185,22 @@ class TestTrainCommand:
         assert summary["diverged"] is True
         assert "status=diverged" in capsys.readouterr().out
 
+    def test_degenerate_gamma_in_evaluate_is_diverged_run(self, tmp_path, degenerate_gamma,
+                                                          capsys):
+        zero_steps = FAST + ["--steps", "0"]  # so the first gamma draw is evaluate's
+        rc = cli.main(["train", "--variant", "sym_recursive", "--seed", "0",
+                       "--out", str(tmp_path)] + zero_steps)
+        assert rc == 1
+        summary = json.loads((tmp_path / "summary_sym_recursive_d2_seed0.json").read_text())
+        assert summary["diverged"] is True
+        assert np.isnan(summary["final_loss"]) and np.isnan(summary["equiv_gap"])
+        assert "status=diverged" in capsys.readouterr().out
+        rc = cli.main(["sweep", "--variants", "sym_recursive", "--out", str(tmp_path)]
+                      + zero_steps)
+        assert rc == 1
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[1] == "sym_recursive,2,0,nan,nan,diverged"
+
     def test_repeat_run_identical_history(self, tmp_path, capsys):
         args = ["train", "--variant", "plain_mlp", "--seed", "4"] + FAST
         cli.main(args + ["--out", str(tmp_path / "a")])

@@ -1,11 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from equisym import checks
 from equisym.checks import check_group_axioms, standard_bundles, standard_groups
 from equisym.groups import (
+    REJECTION_LIMIT,
     GroupError,
     NoHaarError,
+    RejectionError,
     SingularityError,
     _haar_orthogonal,
     direct_product,
@@ -16,6 +20,7 @@ from equisym.groups import (
     perm_apply,
     perm_compose,
     perm_inverse,
+    sample_accepted,
     semidirect_product,
     special_euclidean_group,
     symmetric_group,
@@ -354,6 +359,12 @@ class TestSemidirect:
             decomposed = (Q @ x) + t[:, None]
             assert np.linalg.norm(full - decomposed) <= 1e-9
 
+    def test_finite_direct_product_lists_its_elements(self):
+        D = direct_product(symmetric_group(2), symmetric_group(3))
+        assert len(D.elements) == 12 == len(set(D.elements))
+        members = set(D.elements)
+        assert all(D.mul(g, h) in members for g in D.elements for h in D.elements)
+
     def test_direct_product_haar_marginals(self):
         D = direct_product(orthogonal_group(2), symmetric_group(2))
         stream = RandomStream(13)
@@ -387,3 +398,38 @@ class TestAxiomSuite:
         checks.run_suite("groups")
         checks.run_suite("cosets")
         assert 0 < built[0] < 1000
+
+
+class TestRejectionSampler:
+    def test_gives_up_after_exactly_the_limit(self):
+        batches = []
+
+        def reject_all(M):
+            batches.append(len(M))
+            return np.zeros(len(M), dtype=bool)
+
+        with pytest.raises(RejectionError, match="rejected 100 batches in a row"):
+            sample_accepted(RandomStream(0), 5, 2, reject_all)
+        assert REJECTION_LIMIT == 100 and batches == [5] * 100
+
+    def test_an_accepted_row_restarts_the_count(self):
+        # batch 50 accepts one row, so the sampler gives up 100 batches later
+        batches = []
+
+        def accept_one_in_batch_50(M):
+            batches.append(len(M))
+            ok = np.zeros(len(M), dtype=bool)
+            ok[0] = len(batches) == 50
+            return ok
+
+        with pytest.raises(RejectionError):
+            sample_accepted(RandomStream(0), 5, 2, accept_one_in_batch_50)
+        assert batches == [5] * 50 + [4] * 100
+
+    def test_general_linear_stack_pinned(self):
+        # SHA-256 (float64 little-endian) recorded before GL(d) shared this
+        # sampler with bench.sample_batch; this seed redraws 2 of 50 rows
+        X = general_linear_group(2).random_element(RandomStream(18), 50)
+        assert X.shape == (50, 2, 2)
+        digest = hashlib.sha256(np.ascontiguousarray(X, dtype="<f8").tobytes()).hexdigest()
+        assert digest == "5c9424a1eb96f3f482211ae0de6905ae3cdef41a173dd2de36e5479564ada7ae"

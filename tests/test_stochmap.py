@@ -14,6 +14,7 @@ from equisym.stochmap import (
     enumerate_distribution,
     finite_map,
     lift_deterministic,
+    monte_carlo_mean,
     product,
     sample,
 )
@@ -156,9 +157,26 @@ class TestEnumerate:
         k = finite_map(lambda x: [(third, "a"), (third, "b"), (third, "a")], ANY, ANY)
         assert enumerate_distribution(k, None) == [(2 * third, "a"), (third, "b")]
 
+    def test_finite_map_merges_repeated_array_outcomes(self):
+        quarter = Fraction(1, 4)
+        k = finite_map(lambda x: [(quarter, np.array([1.0, 2.0])), (quarter, np.zeros(2)),
+                                  (2 * quarter, np.array([1.0, 2.0]))], ANY, ANY)
+        atoms = enumerate_distribution(k, None)
+        assert [p for p, _ in atoms] == [3 * quarter, quarter]
+        assert np.array_equal(atoms[0][1], [1.0, 2.0]) and np.array_equal(atoms[1][1], [0.0, 0.0])
+
     def test_probabilities_sum_to_one_exactly(self):
         atoms = enumerate_distribution(fair_coin(), None)
         assert sum(p for p, _ in atoms) == 1
+
+
+class TestMonteCarloMean:
+    def test_sums_draws_in_split_order(self):
+        # the same bytes as the hand fold, so callers keep their outputs
+        draw = lambda s: s.normal(64)
+        stream = RandomStream(3)
+        expected = (draw(stream.split(0)) + draw(stream.split(1)) + draw(stream.split(2))) / 3
+        assert np.array_equal(monte_carlo_mean(draw, stream, 3), expected)
 
 
 class TestStreams:

@@ -246,6 +246,13 @@ class TestAverage:
         assert mean.sampler(x, RandomStream(0)) == Fraction(4)
         assert mean.deterministic
 
+    def test_exact_float_outcomes(self):
+        third = Fraction(1, 3)
+        k = finite_map(lambda x: [(third, 0.1 * x), (2 * third, 2.5)], Space("R"), Space("R"))
+        mean = average(k, mode="exact_enumeration")
+        hand_sum = float(third) * (0.1 * 3.0) + float(2 * third) * 2.5
+        assert mean.sampler(3.0, RandomStream(0)) == hand_sum
+
     def test_monte_carlo_converges(self):
         spec, k = janossy_setup(2)
         sym = symmetrise(k, spec)
