@@ -260,17 +260,18 @@ def train(config: TrainConfig) -> TrainResult:
     """Fresh batch every step (no finite dataset); deterministic given seed."""
     model = InversionModel(config.variant, config.d, config.hidden)
     root = RandomStream(config.seed)
-    params = model.init(root.split(0))
+    params = nn.flat_views(model.init(root.split(0)))
     state = nn.adam_init(params)
     history: List[Tuple[int, float]] = []
+    steps = root.split(1)
     for step in range(config.steps):
-        s = root.split(1).split(step)
+        s = steps.split(step)
         X = sample_batch(config.d, config.batch_size, s.split(0), config.condition_cap)
         try:
             objective, grads = model.objective_and_grads(params, X, s.split(1))
             if not np.isfinite(objective) or objective > 1e6:
                 raise DivergenceError(f"objective {objective} at step {step + 1}")
-            params, state = nn.adam_step(params, grads, state, config.lr)
+            nn.adam_step(params, grads, state, config.lr)  # in place
         except (DivergenceError, nn.GradientError, nn.DegenerateProjectionError):
             return TrainResult(config, params, history, diverged=True)
         history.append((step + 1, objective))

@@ -272,8 +272,11 @@ def check_model_gaps(dims=(2, 3), n_pairs: int = 100,
             params = model.init(stream.split(0))
             X = bench.sample_batch(d, n_pairs, stream.split(1))
             Qs = bench._haar_batch(d, n_pairs, stream.split(2))
-            worst = float(bench.equivariance_gap(model, params, X, Qs, stream.split(3),
-                                                 n_mc=4).max())
+            try:
+                worst = float(bench.equivariance_gap(model, params, X, Qs, stream.split(3),
+                                                     n_mc=4).max())
+            except nn.DegenerateProjectionError:  # a near-singular gamma draw fails the row
+                worst = float("inf")
             out.append(CheckResult(
                 f"equivariance gap {variant} d={d}", worst <= tol, worst))
     return out
@@ -361,9 +364,12 @@ def check_end_to_end_gradients() -> CheckResult:
     def objective(p):  # objective_and_grads(p, X, frozen)[0], without its backward pass
         return float(bench._batch_losses(X, model.draw(p, X, frozen)).mean())
 
-    obj, grads = model.objective_and_grads(params, X, frozen)
-    fd = finite_difference_grads(objective, params)
-    worst = max(_relative_error(g, f) for g, f in zip(grads, fd))
+    try:
+        obj, grads = model.objective_and_grads(params, X, frozen)
+        fd = finite_difference_grads(objective, params)
+        worst = max(_relative_error(g, f) for g, f in zip(grads, fd))
+    except nn.DegenerateProjectionError:  # a near-singular gamma draw fails the row
+        worst = float("inf")
     return CheckResult("end-to-end jensen gradient vs finite differences",
                        worst <= 1e-4, worst)
 

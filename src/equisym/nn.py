@@ -216,28 +216,62 @@ def adam_init(params: List[np.ndarray]) -> AdamState:
     return AdamState(m=np.zeros(size), v=np.zeros(size))
 
 
+def flat_views(params: List[np.ndarray]) -> List[np.ndarray]:
+    """Copies of params as in-order views of one new flat buffer, which
+    adam_step then updates in a single pass."""
+    return _views(np.concatenate([a.ravel() for a in params]), params)
+
+
+def _views(flat: np.ndarray, like: List[np.ndarray]) -> List[np.ndarray]:
+    out, start = [], 0
+    for a in like:
+        out.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
+    return out
+
+
 def adam_step(params: List[np.ndarray], grads: List[np.ndarray], state: AdamState,
               lr: float) -> Tuple[List[np.ndarray], AdamState]:
-    """Standard Adam update with bias correction; returns fresh params/state.
+    """Standard Adam update with bias correction, in place: updates params,
+    state.m and state.v and returns (params, state).
 
     One elementwise update over all parameters concatenated; each element
     sees the same expressions in the same order as a per-array update.
+    Params that all view one flat buffer of their total size are taken to
+    tile it in order, as flat_views makes them, and are updated through
+    it; others through a copy that is written back.  A non-finite gradient
+    raises before anything changes.
     """
     g = np.concatenate([a.ravel() for a in grads])
     if not np.all(np.isfinite(g)):
         raise GradientError("non-finite gradient passed to adam_step")
-    p = np.concatenate([a.ravel() for a in params])
-    t = state.t + 1
-    m = ADAM_B1 * state.m + (1 - ADAM_B1) * g
-    v = ADAM_B2 * state.v + (1 - ADAM_B2) * g * g
-    mhat = m / (1 - ADAM_B1**t)
-    vhat = v / (1 - ADAM_B2**t)
-    p = p - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-    new_params, start = [], 0
-    for a in params:
-        new_params.append(p[start:start + a.size].reshape(a.shape))
-        start += a.size
-    return new_params, AdamState(m, v, t)
+    p = params[0].base
+    copied = (p is None or p.ndim != 1 or p.size != g.size
+              or any(a.base is not p for a in params))
+    if copied:
+        p = np.concatenate([a.ravel() for a in params])
+    state.t += 1
+    m, v, t = state.m, state.v, state.t
+    # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+    m *= ADAM_B1
+    tmp = (1 - ADAM_B1) * g
+    m += tmp
+    v *= ADAM_B2
+    np.multiply(1 - ADAM_B2, g, out=tmp)
+    tmp *= g
+    v += tmp
+    # p -= lr mhat / (sqrt(vhat) + eps), with mhat and vhat bias-corrected
+    step = m / (1 - ADAM_B1**t)
+    step *= lr
+    np.divide(v, 1 - ADAM_B2**t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    step /= tmp
+    p -= step
+    if copied:
+        for a, new in zip(params, _views(p, params)):
+            a[...] = new
+    return params, state
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,25 @@ class TestGradients:
         assert counts["objective"] <= 1
         assert counts["mlp_backward"] <= 3
 
+    def test_gradients_suite_hashes_no_seed_sequence(self, monkeypatch):
+        # each stream derives its Philox key from its parent's cached pool;
+        # the parent built 974 SeedSequences here, one per generator
+        counts = {"SeedSequence": 0, "Philox": 0}
+
+        def counted(name):
+            real = getattr(np.random, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(np.random, name, wrapper)
+
+        counted("SeedSequence")
+        counted("Philox")
+        assert all(r.passed for r in checks.run_suite("gradients"))
+        assert counts["SeedSequence"] == 0 and counts["Philox"] > 0
+
 
 class TestTraining:
     def test_short_run_reduces_objective(self):

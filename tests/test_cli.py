@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import equisym
 from equisym import checks as checks_mod
 from equisym import cli
 from equisym.checks import CheckResult
@@ -126,6 +129,17 @@ class TestExitCodes:
         assert "1/1 checks passed" in out
 
 
+class TestImport:
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        # numpy.random loads at the first generator build, not at import
+        src = os.path.dirname(os.path.dirname(equisym.__file__))
+        code = ("import sys, equisym.cli; "
+                "print([m for m in sys.modules if m.startswith('numpy.random')])")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert run.stdout.strip() == "[]"
+
+
 class TestCheckCommand:
     def test_cosets_suite_passes(self, monkeypatch, capsys):
         monkeypatch.setitem(
@@ -140,6 +154,20 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 14
         assert "14/14 checks passed" in out
+
+    @pytest.mark.parametrize("suite, n_rows, failing", [
+        ("gradients", 3, ["end-to-end jensen gradient vs finite differences"]),
+        ("symmetrise", 14, [f"equivariance gap sym_recursive d={d}" for d in (2, 3)]),
+    ])
+    def test_degenerate_gamma_fails_its_rows(self, degenerate_gamma, capsys, suite,
+                                             n_rows, failing):
+        # a near-singular gamma draw is a failed row, not a traceback
+        assert cli.main(["check", suite]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("[FAIL]")] == [
+            f"[FAIL] {name}  worst_error=inf" for name in failing]
+        assert len(lines) == n_rows + 1
+        assert lines[-1] == f"{n_rows - len(failing)}/{n_rows} checks passed"
 
     def test_all_runs_every_suite_in_order(self, monkeypatch):
         for name in checks_mod.SUITES:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -27,6 +29,17 @@ ANY = Space("any")
 def gaussian_map():
     return StochasticMap(domain=Space("unit"), codomain=R1,
                          sampler=lambda x, stream: float(stream.normal()))
+
+
+def derivation_cases():
+    """(seed, path) pairs: edge seeds and tags around 2^32 and 2^64, plus
+    fixed-seed random ones, at depths 0 to 6."""
+    rng = random.Random(2024)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [rng.randrange(2**64) for _ in range(5)]
+    tags = [0, 1, 2**32 - 1, 2**32, 2**40]
+    return [(seed, tuple(rng.choice(tags) if rng.random() < 0.5 else rng.randrange(8)
+                         for _ in range(depth)))
+            for seed in seeds for depth in range(7)]
 
 
 def fair_coin(labels=("a", "b")):
@@ -202,6 +215,23 @@ class TestStreams:
         assert np.array_equal(stream.uniform(4), ref.random(4))
         assert np.array_equal(stream.integers(0, 100, 5), ref.integers(0, 100, size=5))
 
+    @pytest.mark.parametrize("seed, path", derivation_cases())
+    def test_derivation_matches_seed_sequence(self, seed, path):
+        # split-built and directly built streams draw what numpy's
+        # Philox(SeedSequence(seed, spawn_key=path)) draws
+        split = RandomStream(seed)
+        for tag in path:
+            split = split.split(tag)
+        ref = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=path)))
+        expected = (ref.standard_normal(3), ref.random(2), ref.integers(0, 2**40, size=3),
+                    tuple(int(i) for i in ref.permutation(6)))
+        for stream in (split, RandomStream(seed, path)):
+            got = (stream.normal(3), stream.uniform(2), stream.integers(0, 2**40, 3),
+                   stream.permutation(6))
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+            assert stream.path == path
+
     def test_child_independent_of_parent_drawing_first(self):
         drew, idle = RandomStream(5).split(2), RandomStream(5).split(2)
         drew.normal(3)
@@ -212,6 +242,11 @@ class TestStreams:
     def test_negative_split_rejected(self):
         with pytest.raises(ValueError):
             RandomStream(5).split(-1)
+
+    def test_negative_path_tag_rejected(self):
+        # as SeedSequence rejects it, at the first draw
+        with pytest.raises(ValueError, match="nonnegative"):
+            RandomStream(5, (3, -1)).normal()
 
     def test_distinct_tags_differ(self):
         s = RandomStream(5)
