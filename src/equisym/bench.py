@@ -66,6 +66,8 @@ class TrainConfig:
                 raise ConfigurationError(f"config field {name} must be positive")
         if not (self.lr > 0 and self.condition_cap > 1):  # also rejects NaN
             raise ConfigurationError("lr must be positive and condition_cap above 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigurationError("config field seed must be in [0, 2**64)")
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +252,6 @@ class InversionModel:
 
 @dataclass
 class TrainResult:
-    config: TrainConfig
     params: List[np.ndarray]
     history: List[Tuple[int, float]]
     diverged: bool = False
@@ -260,8 +261,7 @@ def train(config: TrainConfig) -> TrainResult:
     """Fresh batch every step (no finite dataset); deterministic given seed."""
     model = InversionModel(config.variant, config.d, config.hidden)
     root = RandomStream(config.seed)
-    params = nn.flat_views(model.init(root.split(0)))
-    state = nn.adam_init(params)
+    params, state = nn.adam_init(model.init(root.split(0)))
     history: List[Tuple[int, float]] = []
     steps = root.split(1)
     for step in range(config.steps):
@@ -271,11 +271,11 @@ def train(config: TrainConfig) -> TrainResult:
             objective, grads = model.objective_and_grads(params, X, s.split(1))
             if not np.isfinite(objective) or objective > 1e6:
                 raise DivergenceError(f"objective {objective} at step {step + 1}")
-            nn.adam_step(params, grads, state, config.lr)  # in place
+            nn.adam_step(grads, state, config.lr)  # updates params in place
         except (DivergenceError, nn.GradientError, nn.DegenerateProjectionError):
-            return TrainResult(config, params, history, diverged=True)
+            return TrainResult(params, history, diverged=True)
         history.append((step + 1, objective))
-    return TrainResult(config, params, history)
+    return TrainResult(params, history)
 
 
 def equivariance_gap(model: InversionModel, params, X: np.ndarray, Qs: np.ndarray,

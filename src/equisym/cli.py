@@ -69,9 +69,10 @@ def build_config(args, **cell) -> TrainConfig:
     """Config file, then flags, then the sweep cell's values, validated."""
     values = {}
     if getattr(args, "config", None):
-        if not os.path.exists(args.config):
-            raise UsageError(f"config file not found: {args.config}")
-        values.update(parse_config_file(args.config))
+        try:
+            values.update(parse_config_file(args.config))
+        except OSError as exc:  # missing, a directory, unreadable
+            raise UsageError(f"cannot read config file {args.config}: {exc.strerror}")
     overrides = {key: getattr(args, key, None) for key in CONFIG_TYPES}
     overrides.update(cell)
     values.update(coerce_config(overrides))
@@ -82,8 +83,10 @@ def build_config(args, **cell) -> TrainConfig:
 
 
 def resolve_outdir(args) -> str:
+    """The output directory, not yet created; checked before any run starts."""
     out = getattr(args, "out", None) or os.environ.get("EQUISYM_OUT") or "."
-    os.makedirs(out, exist_ok=True)
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise UsageError(f"output path is not a directory: {out}")
     return out
 
 
@@ -125,26 +128,22 @@ def run_check(suite: str, out=None) -> int:
     return 0 if n_fail == 0 else 1
 
 
-def run_train(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def run_train(args) -> int:
     config = build_config(args)
-    result = run_experiment(config)
     outdir = resolve_outdir(args)
+    result = run_experiment(config)
+    os.makedirs(outdir, exist_ok=True)
     tag = f"{config.variant}_d{config.d}_seed{config.seed}"
     write_history_csv(os.path.join(outdir, f"history_{tag}.csv"), result["history"])
     nn.save_params(os.path.join(outdir, f"params_{tag}.txt"), result["params"])
     write_summary(os.path.join(outdir, f"summary_{tag}.json"), result)
     status = "diverged" if result["diverged"] else "ok"
-    print(
-        f"{tag}: final_loss={result['final_loss']:.6g} "
-        f"equiv_gap={result['equiv_gap']:.3e} status={status}",
-        file=out,
-    )
+    print(f"{tag}: final_loss={result['final_loss']:.6g} "
+          f"equiv_gap={result['equiv_gap']:.3e} status={status}")
     return 1 if result["diverged"] else 0
 
 
-def run_sweep(args, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def run_sweep(args) -> int:
     variants, dims, seeds = (
         [v.strip() for v in arg.split(",") if v.strip()]
         for arg in (args.variants, args.dims, args.seeds)
@@ -154,6 +153,7 @@ def run_sweep(args, out=None) -> int:
     configs = [build_config(args, variant=variant, d=d, seed=seed)
                for variant in variants for d in dims for seed in seeds]
     outdir = resolve_outdir(args)
+    os.makedirs(outdir, exist_ok=True)
 
     rows = []
     for config in configs:
@@ -172,14 +172,14 @@ def run_sweep(args, out=None) -> int:
         fh.write("variant,d,seed,final_loss,equiv_gap,status\n")
         for variant, d, seed, fl, gap, status in rows:
             fh.write("%s,%d,%d,%.17g,%.17g,%s\n" % (variant, d, seed, fl, gap, status))
-    print(f"wrote {len(rows)} rows to {path}", file=out)
+    print(f"wrote {len(rows)} rows to {path}")
     if args.summary:
         by_cell = {}
         for variant, d, seed, fl, gap, status in rows:
             if status == "ok":
                 by_cell.setdefault((variant, d), []).append(fl)
         for (variant, d), losses in sorted(by_cell.items()):
-            print(f"median {variant} d={d}: {statistics.median(losses):.6g}", file=out)
+            print(f"median {variant} d={d}: {statistics.median(losses):.6g}")
     return 0 if all(status == "ok" for *_, status in rows) else 1
 
 

@@ -271,16 +271,11 @@ def semidirect_product(
         hi = H.inv(h)
         return (rho(hi, N.inv(n)), hi)
 
-    haar = None
-    if N.haar is not None and H.haar is not None:
-        haar = lambda stream, n=None: (N.haar(stream.split(0), n), H.haar(stream.split(1), n))
-
-    random_element = None
-    if N.random_element is not None and H.random_element is not None:
-        random_element = lambda stream, n=None: (
-            N.random_element(stream.split(0), n),
-            H.random_element(stream.split(1), n),
-        )
+    def pair(sample_n, sample_h):
+        """A sampler of (n, h): n from split(0), h from split(1)."""
+        if sample_n is None or sample_h is None:
+            return None
+        return lambda stream, n=None: (sample_n(stream.split(0), n), sample_h(stream.split(1), n))
 
     elements = None
     if N.elements is not None and H.elements is not None:
@@ -291,9 +286,9 @@ def semidirect_product(
         mul=gmul,
         inv=ginv,
         identity=(N.identity, H.identity),
-        haar=haar,
+        haar=pair(N.haar, H.haar),
         elements=elements,
-        random_element=random_element,
+        random_element=pair(N.random_element, H.random_element),
         factors=(N, H, rho),
     )
 

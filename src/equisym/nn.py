@@ -206,50 +206,34 @@ ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    m: np.ndarray  # first and second moments of every parameter, one flat buffer each
+    params: np.ndarray  # every parameter, concatenated into one flat buffer
+    m: np.ndarray  # first and second moments, flat like params
     v: np.ndarray
     t: int = 0
 
 
-def adam_init(params: List[np.ndarray]) -> AdamState:
-    size = sum(p.size for p in params)
-    return AdamState(m=np.zeros(size), v=np.zeros(size))
-
-
-def flat_views(params: List[np.ndarray]) -> List[np.ndarray]:
-    """Copies of params as in-order views of one new flat buffer, which
-    adam_step then updates in a single pass."""
-    return _views(np.concatenate([a.ravel() for a in params]), params)
-
-
-def _views(flat: np.ndarray, like: List[np.ndarray]) -> List[np.ndarray]:
-    out, start = [], 0
-    for a in like:
-        out.append(flat[start:start + a.size].reshape(a.shape))
+def adam_init(params: List[np.ndarray]) -> Tuple[List[np.ndarray], AdamState]:
+    """Copy params into the flat buffer that Adam owns; returns (views,
+    state), where views are the params as in-order views of that buffer."""
+    flat = np.concatenate([a.ravel() for a in params])
+    views, start = [], 0
+    for a in params:
+        views.append(flat[start:start + a.size].reshape(a.shape))
         start += a.size
-    return out
+    return views, AdamState(params=flat, m=np.zeros(flat.size), v=np.zeros(flat.size))
 
 
-def adam_step(params: List[np.ndarray], grads: List[np.ndarray], state: AdamState,
-              lr: float) -> Tuple[List[np.ndarray], AdamState]:
-    """Standard Adam update with bias correction, in place: updates params,
-    state.m and state.v and returns (params, state).
+def adam_step(grads: List[np.ndarray], state: AdamState, lr: float) -> None:
+    """Standard Adam update with bias correction, in place on state.params,
+    state.m and state.v; grads are in adam_init's parameter order.
 
     One elementwise update over all parameters concatenated; each element
-    sees the same expressions in the same order as a per-array update.
-    Params that all view one flat buffer of their total size are taken to
-    tile it in order, as flat_views makes them, and are updated through
-    it; others through a copy that is written back.  A non-finite gradient
-    raises before anything changes.
+    sees the same expressions in the same order as a per-array update.  A
+    non-finite gradient raises before anything changes.
     """
     g = np.concatenate([a.ravel() for a in grads])
     if not np.all(np.isfinite(g)):
         raise GradientError("non-finite gradient passed to adam_step")
-    p = params[0].base
-    copied = (p is None or p.ndim != 1 or p.size != g.size
-              or any(a.base is not p for a in params))
-    if copied:
-        p = np.concatenate([a.ravel() for a in params])
     state.t += 1
     m, v, t = state.m, state.v, state.t
     # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
@@ -267,11 +251,7 @@ def adam_step(params: List[np.ndarray], grads: List[np.ndarray], state: AdamStat
     np.sqrt(tmp, out=tmp)
     tmp += ADAM_EPS
     step /= tmp
-    p -= step
-    if copied:
-        for a, new in zip(params, _views(p, params)):
-            a[...] = new
-    return params, state
+    state.params -= step
 
 
 # ---------------------------------------------------------------------------

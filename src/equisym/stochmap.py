@@ -37,8 +37,6 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 
 def _words(n: int) -> list:
     """n's little-endian 32-bit words, as SeedSequence reads an int (0 is one word)."""
-    if n < 0:
-        raise ValueError("seed and path tags must be nonnegative")
     words = [n & _M32]
     while n := n >> 32:
         words.append(n & _M32)
@@ -108,29 +106,29 @@ class RandomStream:
     many draws the parent has consumed.  Same seed + same draw sequence
     gives bit-identical output across runs.
 
-    A stream's generator is Philox(SeedSequence(entropy=seed,
-    spawn_key=path)), bit for bit, built on the first draw, so a stream
-    that is only split costs no generator.  It is derived without
-    re-hashing the path: SeedSequence mixes the seed's words, padded to
-    four, into a pool of four words and then mixes in each later word
-    alone, so a stream caches its pool and a child mixes only its tag's
-    words into its parent's.  The Philox key is SeedSequence's
+    A stream holds only its parent and its split tag.  Its generator is
+    Philox(SeedSequence(entropy=seed, spawn_key=path)) for the path of split
+    tags from the root, bit for bit, built on the first draw, so a stream
+    that is only split costs no generator.  SeedSequence mixes the seed's
+    words, padded to four, into a pool of four words and then mixes in each
+    later word alone, so a stream caches its pool and a child mixes only its
+    tag's words into its parent's.  The Philox key is SeedSequence's
     generate_state(2, uint64) of that pool.
     """
 
-    def __init__(self, seed: int, _path: tuple = (), _parent: "RandomStream" = None):
+    def __init__(self, seed: int, _parent: "RandomStream" = None, _tag: int = 0):
         if not (0 <= int(seed) < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
         self.seed = int(seed)
-        self.path = _path
         self._parent = _parent
+        self._tag = _tag
 
     @cached_property
     def _pool(self) -> tuple:
-        """(pool, h) after SeedSequence mixes the seed and the path."""
-        if self._parent is not None:
-            return _absorb(*self._parent._pool, _words(self.path[-1]))
-        return _absorb(*_seed_pool(self.seed), [w for tag in self.path for w in _words(tag)])
+        """(pool, h) after SeedSequence mixes the seed and the split tags."""
+        if self._parent is None:
+            return _seed_pool(self.seed)
+        return _absorb(*self._parent._pool, _words(self._tag))
 
     @cached_property
     def _gen(self) -> np.random.Generator:
@@ -146,7 +144,7 @@ class RandomStream:
     def split(self, tag: int) -> "RandomStream":
         if int(tag) < 0:
             raise ValueError("split tag must be nonnegative")
-        return RandomStream(self.seed, self.path + (int(tag),), self)
+        return RandomStream(self.seed, self, int(tag))
 
     def normal(self, shape=()) -> np.ndarray:
         return self._gen.standard_normal(shape)
@@ -174,20 +172,11 @@ class Space:
     def check(self, x) -> None:
         if self.shape is None:
             return
-        arr = np.asarray(x, dtype=object if _is_ragged(x) else None)
-        if np.shape(arr) != self.shape:
+        shape = np.shape(np.asarray(x, dtype=object))  # ragged points too
+        if shape != self.shape:
             raise ShapeError(
-                f"point of shape {np.shape(arr)} not in space {self.name} "
-                f"(expected {self.shape})"
+                f"point of shape {shape} not in space {self.name} (expected {self.shape})"
             )
-
-
-def _is_ragged(x) -> bool:
-    try:
-        np.asarray(x)
-        return False
-    except Exception:
-        return True
 
 
 def pair_space(a: Space, b: Space) -> Space:

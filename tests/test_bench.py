@@ -41,6 +41,12 @@ class TestConfig:
         with pytest.raises(bench.ConfigurationError):
             bench.TrainConfig(condition_cap=cap)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits(self, seed):
+        with pytest.raises(bench.ConfigurationError, match="seed"):
+            bench.TrainConfig(seed=seed)
+        assert bench.TrainConfig(seed=2**64 - 1).seed == 2**64 - 1
+
 
 class TestData:
     def test_condition_cap_respected(self):

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -103,6 +105,42 @@ class TestExitCodes:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--variant", "plain_mlp", "--seed", "-1"],
+        ["train", "--variant", "plain_mlp", "--seed", str(2**64)],
+        ["sweep", "--variants", "plain_mlp", "--seeds", "0,-1"],
+    ], ids=["train-negative", "train-2to64", "sweep-negative"])
+    def test_seed_outside_64_bits_is_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        assert cli.main(argv + ["--steps", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field seed") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_seed_outside_64_bits_in_config_file_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = {2**64}\n")
+        assert cli.main(["train", "--config", str(cfg), "--steps", "1",
+                         "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error: config field seed")
+
+    def test_config_directory_is_2(self, tmp_path, capsys):
+        assert cli.main(["train", "--config", str(tmp_path), "--steps", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config file") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_out_file_is_2_before_training(self, tmp_path, monkeypatch, capsys, command):
+        def no_experiment(config):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "run_experiment", no_experiment)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert cli.main([command, "--out", str(out)] + FAST) == 2
+        assert capsys.readouterr().err == f"error: output path is not a directory: {out}\n"
+        assert out.read_text() == "not a directory\n"
+
     def test_argparse_error_is_2(self, capsys):
         assert cli.main(["check", "not-a-suite"]) == 2
         assert cli.main([]) == 2
@@ -176,6 +214,25 @@ class TestCheckCommand:
                 lambda name=name: [CheckResult(f"{name} {i}", True, 0.0) for i in (1, 2)])
         assert [r.name for r in checks_mod.run_suite("all")] == [
             f"{name} {i}" for name in checks_mod.SUITES for i in (1, 2)]
+
+
+class TestCheckOutput:
+    # SHA-256 of each suite's run_check output, which prints every row's
+    # name, verdict and worst_error to four significant digits.  A different
+    # BLAS or numpy build may round matrix products differently and move
+    # them.
+    PINNED_SHA256 = {
+        "groups": "e4c37eba53e855cd7a7574ba1ebd65af0737a9bf47ba21b3dbefbbd99e995035",
+        "cosets": "ebc0304bef904ca27e770f6ea5678b1bb1b8330966e235ee05c38330f603abf2",
+        "symmetrise": "58b000c4d6c4343343ba3950b6d48403482d717813803a944c8b17c617a4f5ad",
+        "gradients": "612dd08e54997ff5b6530f6b73a3bf63f9a5a48eb7baf165dc26de5e68e826a9",
+    }
+
+    @pytest.mark.parametrize("suite", list(PINNED_SHA256))
+    def test_run_check_output_bit_identical(self, suite):
+        out = io.StringIO()
+        assert cli.run_check(suite, out=out) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == self.PINNED_SHA256[suite]
 
 
 class TestTrainCommand:

@@ -365,6 +365,19 @@ class TestSemidirect:
         members = set(D.elements)
         assert all(D.mul(g, h) in members for g in D.elements for h in D.elements)
 
+    @pytest.mark.parametrize("n", [None, 5])
+    def test_product_samplers_split_n_then_h(self, n):
+        # the N factor draws from split(0) and the H factor from split(1)
+        shape = () if n is None else (n,)
+        s = RandomStream(21)
+        t, Q = special_euclidean_group(2).random_element(s, n)
+        assert np.array_equal(t, s.split(0).normal(shape + (2,)))
+        assert np.array_equal(Q, orthogonal_group(2, special=True).haar(s.split(1), n))
+        O2, S2 = orthogonal_group(2), symmetric_group(2)
+        R, p = direct_product(O2, S2).haar(s, n)
+        assert np.array_equal(R, O2.haar(s.split(0), n))
+        assert p == S2.haar(s.split(1), n)
+
     def test_direct_product_haar_marginals(self):
         D = direct_product(orthogonal_group(2), symmetric_group(2))
         stream = RandomStream(13)

@@ -251,81 +251,54 @@ class TestCondWithin:
 class TestAdam:
     def test_quadratic_converges(self):
         target = np.array([1.0, -2.0, 0.5])
-        params = [np.zeros(3)]
-        state = nn.adam_init(params)
+        params, state = nn.adam_init([np.zeros(3)])
         for _ in range(3000):
-            grads = [2 * (params[0] - target)]
-            params, state = nn.adam_step(params, grads, state, lr=0.01)
+            nn.adam_step([2 * (params[0] - target)], state, lr=0.01)
         assert np.max(np.abs(params[0] - target)) < 1e-3
 
     def test_first_step_bias_correction(self):
         # with bias correction the very first step has magnitude ~ lr
-        params = [np.array([0.0])]
-        state = nn.adam_init(params)
-        params, state = nn.adam_step(params, [np.array([100.0])], state, lr=0.1)
+        params, state = nn.adam_init([np.array([0.0])])
+        nn.adam_step([np.array([100.0])], state, lr=0.1)
         assert np.isclose(params[0][0], -0.1, rtol=1e-5)
         assert state.t == 1
 
     def test_rejects_nonfinite_gradient(self):
-        params = [np.zeros(2)]
-        state = nn.adam_init(params)
+        params, state = nn.adam_init([np.zeros(2)])
         with pytest.raises(nn.GradientError):
-            nn.adam_step(params, [np.array([np.nan, 0.0])], state, lr=0.1)
+            nn.adam_step([np.array([np.nan, 0.0])], state, lr=0.1)
 
-    @pytest.mark.parametrize("flat", [False, True])
-    def test_updates_in_place(self, flat):
-        # separate arrays and flat_views' buffer views take the same steps,
-        # into the same array objects; the gradients are only read
-        params = [np.ones((2, 3)), np.full(4, 2.0)]
-        if flat:
-            params = nn.flat_views(params)
-            assert all(p.base is params[0].base for p in params)
-        objects = [id(p) for p in params]
-        state = nn.adam_init(params)
-        m, v = state.m, state.v
+    def test_init_copies_params_into_views_of_one_buffer(self):
+        params = [np.arange(6.0).reshape(2, 3), np.array(6.0), np.arange(7.0, 9.0)]
+        views, state = nn.adam_init(params)
+        assert state.params.shape == (9,) and np.array_equal(state.params, np.arange(9.0))
+        assert [v.shape for v in views] == [(2, 3), (), (2,)]
+        assert all(v.base is state.params for v in views)
+        assert not any(np.shares_memory(v, p) for v, p in zip(views, params))
+        assert state.m.shape == state.v.shape == (9,) and state.t == 0
+
+    def test_updates_in_place(self):
+        # the views, the buffer and the moments keep their identity; the
+        # gradients are only read
+        views, state = nn.adam_init([np.ones((2, 3)), np.full(4, 2.0)])
+        buf, m, v = state.params, state.m, state.v
         grads = [np.full((2, 3), 0.5), np.arange(4.0)]
         for step in range(1, 4):
-            out, out_state = nn.adam_step(params, grads, state, lr=0.1)
-            assert out is params and out_state is state and state.t == step
-            assert state.m is m and state.v is v
-        assert [id(p) for p in params] == objects
+            assert nn.adam_step(grads, state, lr=0.1) is None
+            assert state.params is buf and state.m is m and state.v is v
+            assert state.t == step
         assert np.array_equal(grads[0], np.full((2, 3), 0.5))
         assert np.array_equal(grads[1], np.arange(4.0))
-        assert np.all(params[0] < 1) and np.count_nonzero(state.m) == 9
-        assert params[1][0] == 2.0 and np.all(params[1][1:] < 2.0)  # zero gradient, no step
-
-    def test_flat_buffer_matches_separate_arrays_bitwise(self):
-        stream = RandomStream(12)
-        shapes = [(3, 4), (4,), (), (5, 1)]
-        separate = [stream.split(i).normal(shape) for i, shape in enumerate(shapes)]
-        flat = nn.flat_views(separate)
-        states = nn.adam_init(separate), nn.adam_init(flat)
-        for step in range(20):
-            grads = [stream.split(50 + step).split(i).normal(shape)
-                     for i, shape in enumerate(shapes)]
-            nn.adam_step(separate, grads, states[0], lr=1e-3)
-            nn.adam_step(flat, grads, states[1], lr=1e-3)
-        assert b"".join(p.tobytes() for p in separate) == flat[0].base.tobytes()
-        assert states[0].m.tobytes() == states[1].m.tobytes()
-        assert states[0].v.tobytes() == states[1].v.tobytes()
-
-    def test_flat_views_tile_one_buffer_in_order(self):
-        params = [np.arange(6.0).reshape(2, 3), np.array(6.0), np.arange(7.0, 9.0)]
-        views = nn.flat_views(params)
-        buf = views[0].base
-        assert buf.shape == (9,) and np.array_equal(buf, np.arange(9.0))
-        assert [v.shape for v in views] == [(2, 3), (), (2,)]
-        assert all(v.base is buf for v in views)
-        assert not any(np.shares_memory(v, p) for v, p in zip(views, params))
+        assert np.all(views[0] < 1) and np.count_nonzero(state.m) == 9
+        assert views[1][0] == 2.0 and np.all(views[1][1:] < 2.0)  # zero gradient, no step
 
     def test_nonfinite_gradient_changes_nothing(self):
-        params = nn.flat_views([np.ones(2), np.ones(3)])
-        state = nn.adam_init(params)
-        nn.adam_step(params, [np.ones(2), np.ones(3)], state, lr=0.1)
-        before = [p.copy() for p in params] + [state.m.copy(), state.v.copy()]
+        params, state = nn.adam_init([np.ones(2), np.ones(3)])
+        nn.adam_step([np.ones(2), np.ones(3)], state, lr=0.1)
+        before = [state.params.copy(), state.m.copy(), state.v.copy()]
         with pytest.raises(nn.GradientError):
-            nn.adam_step(params, [np.ones(2), np.array([1.0, np.inf, 1.0])], state, lr=0.1)
-        after = params + [state.m, state.v]
+            nn.adam_step([np.ones(2), np.array([1.0, np.inf, 1.0])], state, lr=0.1)
+        after = [state.params, state.m, state.v]
         assert state.t == 1 and all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_matches_per_array_reference_bitwise(self):
@@ -347,11 +320,11 @@ class TestAdam:
         ref = [p.copy() for p in params]
         m = [np.zeros_like(p) for p in params]
         v = [np.zeros_like(p) for p in params]
-        state = nn.adam_init(params)
+        params, state = nn.adam_init(params)
         for step in range(1, 26):
             grads = [stream.split(100 + step).split(i).normal(shape) * 10.0**(i - 3)
                      for i, shape in enumerate(shapes)]
-            params, state = nn.adam_step(params, grads, state, lr=1e-3)
+            nn.adam_step(grads, state, lr=1e-3)
             ref = reference_step(ref, grads, m, v, step, lr=1e-3)
             assert state.t == step
             assert [p.shape for p in params] == shapes
