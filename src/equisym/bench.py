@@ -10,8 +10,14 @@ multiplication by the transpose, so the target map is equivariant:
   noise-fed MLP projected onto O(d) by Gram-Schmidt, with a Haar base case
 - canonical_deterministic: deterministic gamma = Gram-Schmidt of the input
 
-All four share one forward path, InversionModel._forward, and differ only
-in the coset draw _draw_coset.
+A draw is a deterministic map of (params, X, noise), as a Markov kernel
+is of its input and an independent noise input.  InversionModel._noise
+draws the noise from a stream: the Haar stack from split(0) and
+sym_recursive's eta from split(1).  All four variants share one forward
+path, InversionModel._forward, which is the coset draw _draw_coset
+followed by _act (un-act, apply k, re-act); they differ only in
+_draw_coset.  Holding the noise fixed, the gradient check differences
+_forward and _act without drawing again.
 
 Training minimizes the Jensen upper bound: one reparameterised draw per
 sample, loss l(y, yhat) = ||y^-1 yhat - I||_F, averaged over the batch.
@@ -134,30 +140,38 @@ class InversionModel:
             params += nn.init_mlp(self.g0_sizes, stream.split(1))
         return params
 
-    # -- coset draw -------------------------------------------------------
+    # -- reparameterised draw -----------------------------------------------
 
-    def _draw_coset(self, pg, X, stream: RandomStream, couple=None):
-        """One gamma draw per batch row; returns (C, cache or None).
+    def _noise(self, B: int, stream: RandomStream, couple=None):
+        """Base draws of B rows: None for the deterministic variants, else
+        (C1, eta) with the Haar stack C1 from split(0), premultiplied by
+        couple when one is given, and sym_recursive's eta from split(1)."""
+        if self.deterministic:
+            return None
+        C1 = _haar_batch(self.d, B, stream.split(0))
+        if couple is not None:
+            C1 = couple @ C1
+        eta = stream.split(1).normal((B, self.d)) if self.variant == "sym_recursive" else None
+        return C1, eta
 
-        With couple=Q, X is expected to already be Q.X and the Haar base
-        draws are premultiplied by Q, realizing the coupling G -> QG.
+    def _draw_coset(self, pg, X, noise):
+        """One gamma draw per batch row from the base draws noise; returns
+        (C, cache or None).  Deterministic given (pg, X, noise).
+
         Raises nn.DegenerateProjectionError if a sym_recursive backbone
         output is too close to singular for Gram-Schmidt.
         """
-        B, d = X.shape[0], self.d
         if self.variant == "plain_mlp":
             return None, None
         if self.variant == "canonical_deterministic":
             Q, cache = nn.gram_schmidt_forward(X)
             return Q, None  # no gradient flows into gamma here
-        C1 = _haar_batch(d, B, stream.split(0))
-        if couple is not None:
-            C1 = couple @ C1
+        C1, eta = noise
         if self.variant == "sym_haar":
             return C1, None
         # sym_recursive: C = C1 * GS(nn_g0([flat(C1^T X); eta]))
+        B, d = X.shape[0], self.d
         Z1 = np.transpose(C1, (0, 2, 1)) @ X
-        eta = stream.split(1).normal((B, d))
         inp = np.concatenate([Z1.reshape(B, d * d), eta], axis=1)
         U_flat, mlp_cache = nn.mlp_forward(pg, inp)
         U = U_flat.reshape(B, d, d)
@@ -168,36 +182,38 @@ class InversionModel:
         cache = {"C1": C1, "Qu": Qu, "mlp_cache": mlp_cache, "gs_cache": gs_cache}
         return C, cache
 
-    # -- forward ----------------------------------------------------------
-
-    def _forward(self, params, X, stream: RandomStream, couple=None):
-        """Draw C ~ gamma(X), un-act Z = C^T X, apply k, re-act Yhat = A C^T.
-
-        plain_mlp is the case C = None (no group action).  Returns
-        (Yhat, cache); the cache holds what the backward pass reads.
-        """
-        n_k = 2 * (len(self.k_sizes) - 1)
-        pk, pg = params[:n_k], params[n_k:]
+    def _act(self, pk, X, C):
+        """Un-act Z = C^T X, apply k, re-act Yhat = A C^T; C = None is
+        plain_mlp (no group action).  Returns (Yhat, A, k's cache)."""
         B, d = X.shape[0], self.d
-        if couple is not None:
-            X = couple @ X
-        C, coset_cache = self._draw_coset(pg, X, stream, couple=couple)
         Ct = None if C is None else np.transpose(C, (0, 2, 1))
         Z = X if C is None else Ct @ X
         A_flat, k_cache = nn.mlp_forward(pk, Z.reshape(B, d * d))
         A = A_flat.reshape(B, d, d)
-        Yhat = A if C is None else A @ Ct
+        return (A if C is None else A @ Ct), A, k_cache
+
+    def _forward(self, params, X, noise):
+        """The coset draw C ~ gamma(X) from noise, then _act: deterministic
+        given (params, X, noise).  Returns (Yhat, cache); the cache holds
+        what the backward pass reads."""
+        n_k = 2 * (len(self.k_sizes) - 1)
+        pk, pg = params[:n_k], params[n_k:]
+        C, coset_cache = self._draw_coset(pg, X, noise)
+        Yhat, A, k_cache = self._act(pk, X, C)
         cache = {"pk": pk, "pg": pg, "C": C, "coset": coset_cache, "k": k_cache, "A": A}
         return Yhat, cache
 
     def draw(self, params, X, stream: RandomStream, couple=None) -> np.ndarray:
-        """One reparameterised prediction per batch row.
+        """One reparameterised prediction per batch row: _forward at the
+        noise drawn from stream.
 
         couple=Q (one d x d matrix, or one per row) evaluates at Q.X with the
         Haar base draws coupled G -> QG, which makes the draw exactly equal
         Q . (draw at X) for the symmetrised variants.
         """
-        return self._forward(params, X, stream, couple)[0]
+        if couple is not None:
+            X = couple @ X
+        return self._forward(params, X, self._noise(len(X), stream, couple))[0]
 
     def predict(self, params, X, n_mc: int, stream: RandomStream) -> np.ndarray:
         """Averaged predictor: mean over n_mc draws (1 draw if deterministic)."""
@@ -213,7 +229,7 @@ class InversionModel:
         if len(X) == 0:
             raise ValueError("objective_and_grads needs a nonempty batch")
         B, d = X.shape[0], self.d
-        Yhat, cache = self._forward(params, X, stream)
+        Yhat, cache = self._forward(params, X, self._noise(B, stream))
 
         R = X @ Yhat - np.eye(d)  # the residual of _batch_losses
         losses = np.linalg.norm(R, axis=(1, 2))

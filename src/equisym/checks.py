@@ -354,19 +354,29 @@ def check_gram_schmidt_gradients() -> CheckResult:
 
 
 def check_end_to_end_gradients() -> CheckResult:
-    """Reparameterised gradient of the Jensen objective, sym_recursive d=2."""
+    """Reparameterised gradient of the Jensen objective, sym_recursive d=2.
+
+    A draw is deterministic given (params, X, noise), so the noise is drawn
+    once from the frozen stream: k's finite differences run through _act at
+    the fixed coset C, and gamma's through _forward at the fixed noise.
+    Neither runs a backward pass or draws again."""
     model = bench.InversionModel("sym_recursive", d=2, hidden=8)
     stream = RandomStream(DEFAULT_SEED)
     params = model.init(stream.split(0))
     X = bench.sample_batch(2, 4, stream.split(1))
     frozen = stream.split(2)
 
-    def objective(p):  # objective_and_grads(p, X, frozen)[0], without its backward pass
-        return float(bench._batch_losses(X, model.draw(p, X, frozen)).mean())
+    def objective(Yhat):  # objective_and_grads' objective at these predictions
+        return float(bench._batch_losses(X, Yhat).mean())
 
     try:
         obj, grads = model.objective_and_grads(params, X, frozen)
-        fd = finite_difference_grads(objective, params)
+        noise = model._noise(len(X), frozen)
+        _, cache = model._forward(params, X, noise)
+        pk, C = cache["pk"], cache["C"]
+        fd = (finite_difference_grads(lambda p: objective(model._act(p, X, C)[0]), pk)
+              + finite_difference_grads(lambda p: objective(model._forward(pk + p, X, noise)[0]),
+                                        cache["pg"]))
         worst = max(_relative_error(g, f) for g, f in zip(grads, fd))
     except nn.DegenerateProjectionError:  # a near-singular gamma draw fails the row
         worst = float("inf")

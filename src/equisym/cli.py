@@ -38,7 +38,7 @@ CONFIG_TYPES = get_type_hints(TrainConfig)  # field name -> int, float or str
 def parse_config_file(path: str) -> dict:
     """Flat key = value lines; # starts a comment; unknown keys rejected."""
     out = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -73,6 +73,8 @@ def build_config(args, **cell) -> TrainConfig:
             values.update(parse_config_file(args.config))
         except OSError as exc:  # missing, a directory, unreadable
             raise UsageError(f"cannot read config file {args.config}: {exc.strerror}")
+        except UnicodeDecodeError:
+            raise UsageError(f"cannot read config file {args.config}: not UTF-8 text")
     overrides = {key: getattr(args, key, None) for key in CONFIG_TYPES}
     overrides.update(cell)
     values.update(coerce_config(overrides))
@@ -83,10 +85,14 @@ def build_config(args, **cell) -> TrainConfig:
 
 
 def resolve_outdir(args) -> str:
-    """The output directory, not yet created; checked before any run starts."""
+    """The output directory, not yet created; checked before any run starts:
+    its nearest existing ancestor (or itself) must be a directory."""
     out = getattr(args, "out", None) or os.environ.get("EQUISYM_OUT") or "."
-    if os.path.exists(out) and not os.path.isdir(out):
-        raise UsageError(f"output path is not a directory: {out}")
+    existing = out
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)  # "" is the working directory
+    if existing and not os.path.isdir(existing):
+        raise UsageError(f"output path is not a directory: {existing}")
     return out
 
 

@@ -154,6 +154,21 @@ class TestModel:
         assert a.shape == (4, 2, 2)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("coupled", [False, True])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("variant", bench.VARIANTS)
+    def test_draw_is_forward_at_drawn_noise(self, variant, d, coupled):
+        # a draw is deterministic given (params, X, noise): the noise comes
+        # from the stream, coupled like the Haar draws, and nothing else does
+        m = bench.InversionModel(variant, d=d, hidden=8)
+        params = m.init(RandomStream(0))
+        X = bench.sample_batch(d, 5, RandomStream(1))
+        Q = bench._haar_batch(d, 5, RandomStream(2)) if coupled else None
+        s = RandomStream(3)
+        X_acted = X if Q is None else Q @ X
+        expected = m._forward(params, X_acted, m._noise(len(X), s, Q))[0]
+        assert np.array_equal(m.draw(params, X, s, couple=Q), expected)
+
     def test_coupled_draw_is_exactly_equivariant(self):
         m = bench.InversionModel("sym_haar", d=2, hidden=8)
         params = m.init(RandomStream(0))
@@ -323,7 +338,8 @@ class TestSymmetriseCombinator:
             gamma = symmetrise(StochasticMap(stacks, bundle.coset_space, gamma0), inner)
             X = bench.sample_batch(d, 128, RandomStream(1000 + seed))
             s = RandomStream(2000 + seed)
-            assert np.array_equal(gamma.sampler(X, s), model._draw_coset(pg, X, s)[0])
+            assert np.array_equal(gamma.sampler(X, s),
+                                  model._draw_coset(pg, X, model._noise(len(X), s))[0])
 
 
 class TestGradients:
@@ -366,57 +382,99 @@ class TestGradients:
 
     @pytest.mark.parametrize("variant", bench.VARIANTS)
     def test_end_to_end_check_objective_is_the_training_objective(self, variant):
-        # check_end_to_end_gradients differences the loss of model.draw, so
-        # that no backward pass runs per evaluation; it must be exactly the
-        # objective that objective_and_grads returns, at the check's point
-        # and at a perturbed one
+        # check_end_to_end_gradients differences the loss of _act at the
+        # fixed coset for k, and of _forward at the fixed noise for gamma, so
+        # that no backward pass or fresh draw runs per evaluation; each must
+        # be exactly the objective that objective_and_grads returns, at the
+        # check's point and at perturbed ones, as must the loss of model.draw
         m = bench.InversionModel(variant, d=2, hidden=8)
         stream = RandomStream(13)
         params = m.init(stream.split(0))
         X = bench.sample_batch(2, 4, stream.split(1))
         frozen = stream.split(2)
-        for p in (params, [a + 1e-5 for a in params]):
-            drawn = float(bench._batch_losses(X, m.draw(p, X, frozen)).mean())
-            assert drawn == m.objective_and_grads(p, X, frozen)[0]
+        noise = m._noise(len(X), frozen)
+        _, cache = m._forward(params, X, noise)
+        pk, pg, C = cache["pk"], cache["pg"], cache["C"]
+
+        def loss(Yhat):
+            return float(bench._batch_losses(X, Yhat).mean())
+
+        moved_pk = [a + 1e-5 for a in pk]
+        moved_pg = [a + 1e-5 for a in pg]
+        for k, g in ((pk, pg), (moved_pk, pg), (pk, moved_pg), (moved_pk, moved_pg)):
+            expected = m.objective_and_grads(k + g, X, frozen)[0]
+            assert loss(m._forward(k + g, X, noise)[0]) == expected
+            assert loss(m.draw(k + g, X, frozen)) == expected
+            if g is pg:  # the coset is fixed only while gamma's parameters are
+                assert loss(m._act(k, X, C)[0]) == expected
+
+    def test_end_to_end_check_differences_match_the_drawn_objective(self, monkeypatch):
+        # the check's finite differences, bit for bit, are those of the loss
+        # of model.draw on the frozen stream, which draws the noise afresh
+        # for each evaluation
+        real_fd = checks.finite_difference_grads
+        fds = []
+
+        def spy(f, params):
+            out = real_fd(f, params)
+            fds.extend(out)
+            return out
+
+        monkeypatch.setattr(checks, "finite_difference_grads", spy)
+        assert check_end_to_end_gradients().passed
+
+        m = bench.InversionModel("sym_recursive", d=2, hidden=8)
+        stream = RandomStream(checks.DEFAULT_SEED)
+        params = m.init(stream.split(0))
+        X = bench.sample_batch(2, 4, stream.split(1))
+        frozen = stream.split(2)
+        drawn = real_fd(lambda p: float(bench._batch_losses(X, m.draw(p, X, frozen)).mean()),
+                        params)
+        assert len(fds) == len(drawn) == len(params)
+        assert all(np.array_equal(a, b) for a, b in zip(fds, drawn))
+
+    @staticmethod
+    def count_calls(monkeypatch, counts, owner, name):
+        """Count owner.name's calls in counts[name] for the test's duration."""
+        real = getattr(owner, name)
+        counts[name] = 0
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
 
     def test_gradients_suite_runs_backward_once(self, monkeypatch):
         # the finite differences of the gradients suite need objectives
         # only; 481 objective_and_grads and 963 mlp_backward calls before
-        counts = {"objective": 0, "mlp_backward": 0}
-
-        def counted(owner, name, key):
-            real = getattr(owner, name)
-
-            def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, wrapper)
-
-        counted(bench.InversionModel, "objective_and_grads", "objective")
-        counted(nn, "mlp_backward", "mlp_backward")
+        counts = {}
+        self.count_calls(monkeypatch, counts, bench.InversionModel, "objective_and_grads")
+        self.count_calls(monkeypatch, counts, nn, "mlp_backward")
         assert all(r.passed for r in checks.run_suite("gradients"))
-        assert counts["objective"] <= 1
+        assert counts["objective_and_grads"] <= 1
         assert counts["mlp_backward"] <= 3
 
     def test_gradients_suite_hashes_no_seed_sequence(self, monkeypatch):
         # each stream derives its Philox key from its parent's cached pool;
         # the parent built 974 SeedSequences here, one per generator
-        counts = {"SeedSequence": 0, "Philox": 0}
-
-        def counted(name):
-            real = getattr(np.random, name)
-
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(np.random, name, wrapper)
-
-        counted("SeedSequence")
-        counted("Philox")
+        counts = {}
+        self.count_calls(monkeypatch, counts, np.random, "SeedSequence")
+        self.count_calls(monkeypatch, counts, np.random, "Philox")
         assert all(r.passed for r in checks.run_suite("gradients"))
         assert counts["SeedSequence"] == 0 and counts["Philox"] > 0
+
+    def test_gradients_suite_draws_the_noise_once(self, monkeypatch):
+        # the end-to-end check draws its noise once and objective_and_grads
+        # once: 2 Haar stacks, and 4 generators on top of the 12 that the
+        # suite's parameters, inputs and weights draw from; 481 Haar stacks
+        # and 974 generators when each evaluation drew afresh
+        counts = {}
+        self.count_calls(monkeypatch, counts, bench, "_haar_batch")
+        self.count_calls(monkeypatch, counts, np.random, "Philox")
+        assert all(r.passed for r in checks.run_suite("gradients"))
+        assert counts["_haar_batch"] <= 2
+        assert counts["Philox"] <= 16
 
 
 class TestTraining:

@@ -141,6 +141,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: output path is not a directory: {out}\n"
         assert out.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_out_under_a_file_is_2_before_training(self, tmp_path, monkeypatch, capsys,
+                                                    command):
+        def no_experiment(config):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "run_experiment", no_experiment)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert cli.main([command, "--out", str(taken / "sub" / "run")] + FAST) == 2
+        assert capsys.readouterr().err == f"error: output path is not a directory: {taken}\n"
+        assert sorted(tmp_path.iterdir()) == [taken]
+        assert taken.read_text() == "not a directory\n"
+
+    def test_config_not_utf8_is_2(self, tmp_path, capsys):
+        config = tmp_path / "bin.cfg"
+        config.write_bytes(b"\xff\xfe\x00")
+        assert cli.main(["train", "--config", str(config), "--steps", "1",
+                         "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read config file {config}: not UTF-8 text\n"
+        assert sorted(tmp_path.iterdir()) == [config]
+
     def test_argparse_error_is_2(self, capsys):
         assert cli.main(["check", "not-a-suite"]) == 2
         assert cli.main([]) == 2
