@@ -108,7 +108,7 @@ def _batch_losses(X: np.ndarray, Yhat: np.ndarray) -> np.ndarray:
     """Losses for a batch of inputs X, whose targets y = X^-1 give y^-1 = X."""
     d = X.shape[-1]
     R = X @ Yhat - np.eye(d)
-    return np.linalg.norm(R, axis=(1, 2))
+    return np.linalg.norm(R, axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,7 @@ class InversionModel:
         Z1 = np.transpose(C1, (0, 2, 1)) @ X
         inp = np.concatenate([Z1.reshape(B, d * d), eta], axis=1)
         U_flat, mlp_cache = nn.mlp_forward(pg, inp)
-        U = U_flat.reshape(B, d, d)
+        U = U_flat.reshape(U_flat.shape[:-1] + (d, d))
         if not np.all(nn.cond_within(U, nn.DEGENERACY_CAP)):
             raise nn.DegenerateProjectionError("gamma backbone produced a near-singular output")
         Qu, gs_cache = nn.gram_schmidt_forward(U)
@@ -185,11 +185,11 @@ class InversionModel:
     def _act(self, pk, X, C):
         """Un-act Z = C^T X, apply k, re-act Yhat = A C^T; C = None is
         plain_mlp (no group action).  Returns (Yhat, A, k's cache)."""
-        B, d = X.shape[0], self.d
-        Ct = None if C is None else np.transpose(C, (0, 2, 1))
+        d = self.d
+        Ct = None if C is None else np.swapaxes(C, -1, -2)
         Z = X if C is None else Ct @ X
-        A_flat, k_cache = nn.mlp_forward(pk, Z.reshape(B, d * d))
-        A = A_flat.reshape(B, d, d)
+        A_flat, k_cache = nn.mlp_forward(pk, Z.reshape(Z.shape[:-2] + (d * d,)))
+        A = A_flat.reshape(A_flat.shape[:-1] + (d, d))
         return (A if C is None else A @ Ct), A, k_cache
 
     def _forward(self, params, X, noise):
@@ -299,10 +299,13 @@ def equivariance_gap(model: InversionModel, params, X: np.ndarray, Qs: np.ndarra
     """Per-pair ||f(Q_i x_i) - f(x_i) Q_i^T||_F / (1 + ||f(x_i)||_F), coupled.
 
     X and Qs have shape (N, d, d).  Each pair is repeated n_mc times (once
-    for deterministic variants), pair-major, and both sides are drawn as one
-    batch each from the same stream, so they share their base draws, with
-    the Haar samples of the symmetrised variants premultiplied by Q_i; for
-    symmetrised models the identity then holds pointwise up to float error.
+    for deterministic variants), pair-major, and each side is one _forward
+    batch.  The base noise is drawn once from stream: the coupled side
+    reuses it with the Haar samples of the symmetrised variants
+    premultiplied by Q_i, exactly as draw(..., couple=Q) would draw it, so
+    for symmetrised models the identity holds pointwise up to float error.
+    The coset and k's output are recomputed, not reused, so that the gap
+    measures the model and not its construction.
     """
     if n_mc < 1:
         raise ValueError(f"equivariance_gap needs n_mc >= 1, got {n_mc}")
@@ -315,9 +318,11 @@ def equivariance_gap(model: InversionModel, params, X: np.ndarray, Qs: np.ndarra
     if np.any(np.linalg.norm(Qt @ Qs - np.eye(d), axis=(1, 2)) > 1e-9):
         raise ValueError("equivariance_gap requires every Q to be orthogonal")
     n = 1 if model.deterministic else n_mc
-    Xr = np.repeat(X, n, axis=0)
-    f1, f2 = (model.draw(params, Xr, stream, couple=c).reshape(N, n, d, d).mean(axis=1)
-              for c in (None, np.repeat(Qs, n, axis=0)))
+    Xr, Qr = np.repeat(X, n, axis=0), np.repeat(Qs, n, axis=0)
+    noise = model._noise(N * n, stream)
+    coupled = None if noise is None else (Qr @ noise[0], noise[1])
+    f1, f2 = (model._forward(params, x, z)[0].reshape(N, n, d, d).mean(axis=1)
+              for x, z in ((Xr, noise), (Qr @ Xr, coupled)))
     return np.linalg.norm(f2 - f1 @ Qt, axis=(1, 2)) / (1.0 + np.linalg.norm(f1, axis=(1, 2)))
 
 

@@ -9,11 +9,11 @@ Elements are plain values interpreted by their descriptor:
 - semidirect / direct products: pair (n, h) of factor elements
 
 Samplers take an optional count n and then return a stack of n samples:
-an array with a leading axis, a pair of stacks for a product, and a list
-of tuples for S_n.  The array groups' mul and inv, and element_distance,
-accept stacks, and a single element such as the identity broadcasts
-against a stack; row i of a stacked result equals the single-element
-result on row i, bit for bit.
+an array with a leading axis (for S_n an int array, one permutation per
+row), or a pair of stacks for a product.  mul, inv and
+element_distance accept stacks, and a single element such as the identity
+broadcasts against a stack; row i of a stacked result equals the
+single-element result on row i, bit for bit.
 
 Haar on O(d)/SO(d) is QR of a Gaussian matrix with the R-diagonal signs
 absorbed into Q (which makes the law exactly invariant); Haar on S_n is a
@@ -185,12 +185,18 @@ def general_linear_group(d: int) -> GroupDescriptor:
 # Permutations
 
 
-def perm_compose(s: tuple, t: tuple) -> tuple:
-    """(s*t)(i) = s(t(i))."""
-    return tuple(s[t[i]] for i in range(len(s)))
+def perm_compose(s, t):
+    """(s*t)(i) = s(t(i)).  Two tuples give a tuple; otherwise either side
+    may be a (k, n) int stack, composed row by row."""
+    if isinstance(s, tuple) and isinstance(t, tuple):
+        return tuple(s[t[i]] for i in range(len(s)))
+    return np.take_along_axis(*np.broadcast_arrays(s, t), axis=-1)
 
 
-def perm_inverse(s: tuple) -> tuple:
+def perm_inverse(s):
+    """The inverse of a tuple, or of each row of a (k, n) int stack."""
+    if not isinstance(s, tuple):
+        return np.argsort(s, axis=-1)
     out = [0] * len(s)
     for i, si in enumerate(s):
         out[si] = i
@@ -209,8 +215,7 @@ def symmetric_group(n: int) -> GroupDescriptor:
         mul=perm_compose,
         inv=perm_inverse,
         identity=tuple(range(n)),
-        haar=lambda stream, k=None: (stream.permutation(n) if k is None
-                                     else [stream.permutation(n) for _ in range(k)]),
+        haar=lambda stream, k=None: stream.permutation(n, k),
         elements=[tuple(p) for p in _itertools_permutations(range(n))],
     )
 

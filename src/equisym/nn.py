@@ -1,10 +1,12 @@
 """Neural primitives: tanh MLP with manual backprop, differentiable
 modified Gram-Schmidt, Adam, and parameter checkpoints.
 
-Forward/backward take batches only: the MLP a (B, n) input and its
-parameters as the flat list [W0, b0, W1, b1, ...], Gram-Schmidt a stack
-(B, d, d).  Backprop through Gram-Schmidt differentiates the recurrences
-analytically.
+The MLP takes a (B, n) batch and its parameters as the flat list
+[W0, b0, W1, b1, ...], Gram-Schmidt a (B, d, d) stack.  The forwards also
+broadcast over leading stack axes, on the input or on every parameter, and
+row i of a stacked forward equals the forward on stack row i, bit for bit.
+The backwards take batches only.  Backprop through Gram-Schmidt
+differentiates the recurrences analytically.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ def init_mlp(sizes: Sequence[int], stream: RandomStream) -> List[np.ndarray]:
 
 def mlp_forward(params: List[np.ndarray], x) -> Tuple[np.ndarray, dict]:
     """Affine/tanh chain with a linear last layer on a batch x of shape
-    (B, n); params is [W0, b0, ...].  The cache holds each layer's input."""
+    (..., B, n); params is [W0, b0, ...], with or without leading stack axes.
+    The cache holds each layer's input."""
     h = np.asarray(x, dtype=float)
-    if h.ndim != 2 or h.shape[1] != params[0].shape[0]:
+    if h.ndim < 2 or h.shape[-1] != params[0].shape[-2]:
         raise ValueError(
             f"input of shape {h.shape} is not a batch of width {params[0].shape[0]}"
         )
@@ -53,16 +56,19 @@ def mlp_forward(params: List[np.ndarray], x) -> Tuple[np.ndarray, dict]:
     for i in range(n_layers):
         inputs.append(h)
         h = h @ params[2 * i]  # a fresh array, so the bias and tanh reuse it
-        h += params[2 * i + 1]
+        h += params[2 * i + 1][..., None, :]
         if i < n_layers - 1:
             np.tanh(h, out=h)
     return h, {"inputs": inputs}
 
 
 def mlp_backward(params: List[np.ndarray], cache: dict, dout) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Exact reverse-mode gradients; returns ([dW0, db0, ...], dinput)."""
+    """Exact reverse-mode gradients of a batch forward, without stack axes;
+    returns ([dW0, db0, ...], dinput)."""
     dh = np.asarray(dout, dtype=float)
     inputs = cache["inputs"]
+    if dh.ndim != 2 or inputs[-1].ndim != 2:
+        raise ValueError("mlp_backward takes a batch: stacked forwards have no backward")
     n_layers = len(inputs)
     grads: List[np.ndarray] = [None] * (2 * n_layers)
     for i in range(n_layers - 1, -1, -1):
@@ -144,10 +150,10 @@ def cond_within(M, cap: float) -> np.ndarray:
 
 
 def gram_schmidt_forward(M) -> Tuple[np.ndarray, dict]:
-    """Orthonormalize the columns of each matrix of a stack (B, d, d) by
-    modified Gram-Schmidt; cache for backward."""
+    """Orthonormalize the columns of each matrix of a stack (..., B, d, d)
+    by modified Gram-Schmidt; cache for backward."""
     A = np.asarray(M, dtype=float)
-    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+    if A.ndim < 3 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"input of shape {A.shape} is not a stack of square matrices")
     d = A.shape[-1]
     Q = np.zeros_like(A)
@@ -155,16 +161,16 @@ def gram_schmidt_forward(M) -> Tuple[np.ndarray, dict]:
     rs = []
     norms = []
     for j in range(d):
-        v = A[:, :, j].copy()
+        v = A[..., :, j].copy()
         v_hist, r_hist = [], []
         for i in range(j):
-            qi = Q[:, :, i]
-            r = np.einsum("bk,bk->b", qi, v)
+            qi = Q[..., :, i]
+            r = np.einsum("...k,...k->...", qi, v)
             v_hist.append(v)
             r_hist.append(r)
-            v = v - r[:, None] * qi
-        nrm = np.linalg.norm(v, axis=1)
-        Q[:, :, j] = v / nrm[:, None]
+            v = v - r[..., None] * qi
+        nrm = np.linalg.norm(v, axis=-1)
+        Q[..., :, j] = v / nrm[..., None]
         vs.append(v_hist)
         rs.append(r_hist)
         norms.append(nrm)
@@ -172,9 +178,12 @@ def gram_schmidt_forward(M) -> Tuple[np.ndarray, dict]:
 
 
 def gram_schmidt_backward(cache: dict, dQ) -> np.ndarray:
-    """Reverse-mode gradient of gram_schmidt_forward w.r.t. its input."""
+    """Reverse-mode gradient of gram_schmidt_forward w.r.t. its input, for a
+    (B, d, d) stack without further stack axes."""
     dQb = np.array(dQ, dtype=float)
     Q = cache["Q"]
+    if dQb.ndim != 3 or Q.ndim != 3:
+        raise ValueError("gram_schmidt_backward takes a (B, d, d) stack only")
     d = Q.shape[-1]
     dM = np.zeros_like(Q)
     for j in range(d - 1, -1, -1):

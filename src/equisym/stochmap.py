@@ -155,8 +155,12 @@ class RandomStream:
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
         return self._gen.integers(low, high, size=shape)
 
-    def permutation(self, n: int) -> tuple:
-        return tuple(int(i) for i in self._gen.permutation(n))
+    def permutation(self, n: int, k: Optional[int] = None):
+        """A uniform permutation of range(n) as a tuple, or with k a (k, n)
+        int stack whose rows equal k successive single draws."""
+        if k is None:
+            return tuple(int(i) for i in self._gen.permutation(n))
+        return self._gen.permuted(np.tile(np.arange(n), (k, 1)), axis=1)
 
     def choice_index(self, n: int) -> int:
         return int(self._gen.integers(0, n))

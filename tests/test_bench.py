@@ -169,6 +169,24 @@ class TestModel:
         expected = m._forward(params, X_acted, m._noise(len(X), s, Q))[0]
         assert np.array_equal(m.draw(params, X, s, couple=Q), expected)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("variant", bench.VARIANTS)
+    def test_stacked_forward_equals_rowwise(self, variant, d):
+        # a leading stack axis on every parameter: row i of _act and of
+        # _forward equals the call with row i's parameters, bit for bit
+        m = bench.InversionModel(variant, d=d, hidden=8)
+        rows = [m.init(RandomStream(seed)) for seed in range(3)]
+        stacked = [np.stack(arrays) for arrays in zip(*rows)]
+        X = bench.sample_batch(d, 5, RandomStream(10))
+        noise = m._noise(len(X), RandomStream(11))
+        C = m._forward(rows[0], X, noise)[1]["C"]
+        acted = m._act(stacked[:6], X, C)[0]
+        forward = m._forward(stacked, X, noise)[0]
+        assert acted.shape == forward.shape == (3, 5, d, d)
+        for i, p in enumerate(rows):
+            assert np.array_equal(acted[i], m._act(p[:6], X, C)[0])
+            assert np.array_equal(forward[i], m._forward(p, X, noise)[0])
+
     def test_coupled_draw_is_exactly_equivariant(self):
         m = bench.InversionModel("sym_haar", d=2, hidden=8)
         params = m.init(RandomStream(0))
@@ -225,22 +243,27 @@ class TestModel:
         X = bench.sample_batch(2, 3, RandomStream(1))
         Qs = bench._haar_batch(2, 3, RandomStream(2))
         calls = []
-        real_draw = m.draw
+        real_forward = m._forward
 
-        def spy(params, X, stream, couple=None):
-            out = real_draw(params, X, stream, couple)
-            calls.append((X, couple, out))
+        def spy(params, X, noise):
+            out = real_forward(params, X, noise)
+            calls.append((X, noise, out[0]))
             return out
 
-        m.draw = spy
+        m._forward = spy
         gaps = bench.equivariance_gap(m, params, X, Qs, RandomStream(3), n_mc=4)
         assert len(calls) == 2
-        (X1, c1, f1), (X2, c2, f2) = calls
-        # pair-major repeats: pair i owns rows 4i .. 4i+3
-        assert c1 is None
+        (X1, (C1, eta1), f1), (X2, (C2, eta2), f2) = calls
+        # pair-major repeats: pair i owns rows 4i .. 4i+3; the coupled side
+        # is at Q_i x_i with the one Haar draw premultiplied by Q_i, which is
+        # the noise that draw(..., couple=Q) draws from the same stream
+        Qr = np.repeat(Qs, 4, axis=0)
         assert np.array_equal(X1, np.repeat(X, 4, axis=0))
-        assert np.array_equal(X2, X1)
-        assert np.array_equal(c2, np.repeat(Qs, 4, axis=0))
+        assert np.array_equal(X2, Qr @ X1)
+        assert np.array_equal(C1, m._noise(12, RandomStream(3))[0])
+        assert np.array_equal(C2, Qr @ C1)
+        assert np.array_equal(C2, m._noise(12, RandomStream(3), couple=Qr)[0])
+        assert eta1 is None and eta2 is None
         draws = f1.reshape(3, 4, 2, 2)
         for i in range(3):
             for a in range(4):
@@ -254,14 +277,36 @@ class TestModel:
         assert gaps.shape == (3,)
         assert np.max(gaps) <= 1e-12
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("variant", bench.VARIANTS)
+    def test_gap_draws_the_noise_once(self, variant, d, monkeypatch):
+        # one Haar stack serves both sides, and the gaps are those of two
+        # draws from the same stream, the second coupled by Q, bit for bit
+        m = bench.InversionModel(variant, d=d, hidden=8)
+        params = m.init(RandomStream(0))
+        X = bench.sample_batch(d, 5, RandomStream(1))
+        Qs = bench._haar_batch(d, 5, RandomStream(2))
+        n = 1 if m.deterministic else 4
+        f1, f2 = (m.draw(params, np.repeat(X, n, axis=0), RandomStream(3), couple=c)
+                  .reshape(5, n, d, d).mean(axis=1) for c in (None, np.repeat(Qs, n, axis=0)))
+        expected = (np.linalg.norm(f2 - f1 @ np.transpose(Qs, (0, 2, 1)), axis=(1, 2))
+                    / (1.0 + np.linalg.norm(f1, axis=(1, 2))))
+        haar_batches = []
+        real_haar_batch = bench._haar_batch
+        monkeypatch.setattr(bench, "_haar_batch",
+                            lambda *args: haar_batches.append(args) or real_haar_batch(*args))
+        gaps = bench.equivariance_gap(m, params, X, Qs, RandomStream(3), n_mc=4)
+        assert np.array_equal(gaps, expected)
+        assert len(haar_batches) == (0 if m.deterministic else 1)
+
     def test_gap_rejects_bad_arguments_before_drawing(self):
         m = bench.InversionModel("sym_haar", d=2, hidden=8)
         params = m.init(RandomStream(0))
         X = bench.sample_batch(2, 5, RandomStream(1))
         Qs = bench._haar_batch(2, 5, RandomStream(2))
         calls = []
-        real_draw = m.draw
-        m.draw = lambda *args, **kwargs: calls.append(args) or real_draw(*args, **kwargs)
+        real_noise = m._noise
+        m._noise = lambda *args, **kwargs: calls.append(args) or real_noise(*args, **kwargs)
         for n_mc in (0, -1):
             with pytest.raises(ValueError, match="n_mc"):
                 bench.equivariance_gap(m, params, X, Qs, RandomStream(3), n_mc=n_mc)
@@ -344,8 +389,8 @@ class TestSymmetriseCombinator:
 
 class TestGradients:
     @pytest.mark.parametrize("variant", bench.VARIANTS)
-    def test_objective_grads_match_finite_differences(self, variant):
-        from equisym.checks import _relative_error, finite_difference_grads
+    def test_objective_grads_match_finite_differences(self, variant, fd_reference):
+        from equisym.checks import _relative_error
 
         m = bench.InversionModel(variant, d=2, hidden=6)
         stream = RandomStream(11)
@@ -358,7 +403,7 @@ class TestGradients:
             return obj
 
         obj, grads = m.objective_and_grads(params, X, frozen)
-        fd = finite_difference_grads(f, params)
+        fd = fd_reference(f, params)  # objective_and_grads takes no stacks
         worst = max(_relative_error(g, h) for g, h in zip(grads, fd))
         assert worst <= 1e-4
 
@@ -408,10 +453,10 @@ class TestGradients:
             if g is pg:  # the coset is fixed only while gamma's parameters are
                 assert loss(m._act(k, X, C)[0]) == expected
 
-    def test_end_to_end_check_differences_match_the_drawn_objective(self, monkeypatch):
-        # the check's finite differences, bit for bit, are those of the loss
-        # of model.draw on the frozen stream, which draws the noise afresh
-        # for each evaluation
+    @staticmethod
+    def spy_fds(monkeypatch):
+        """The arrays each checks.finite_difference_grads call returns, in
+        call order, for the test's duration."""
         real_fd = checks.finite_difference_grads
         fds = []
 
@@ -421,6 +466,14 @@ class TestGradients:
             return out
 
         monkeypatch.setattr(checks, "finite_difference_grads", spy)
+        return fds
+
+    def test_end_to_end_check_differences_match_the_drawn_objective(self, monkeypatch,
+                                                                    fd_reference):
+        # the check's finite differences, bit for bit, are those of the loss
+        # of model.draw on the frozen stream, which draws the noise afresh
+        # for each evaluation, one coordinate at a time
+        fds = self.spy_fds(monkeypatch)
         assert check_end_to_end_gradients().passed
 
         m = bench.InversionModel("sym_recursive", d=2, hidden=8)
@@ -428,10 +481,55 @@ class TestGradients:
         params = m.init(stream.split(0))
         X = bench.sample_batch(2, 4, stream.split(1))
         frozen = stream.split(2)
-        drawn = real_fd(lambda p: float(bench._batch_losses(X, m.draw(p, X, frozen)).mean()),
-                        params)
+        drawn = fd_reference(
+            lambda p: float(bench._batch_losses(X, m.draw(p, X, frozen)).mean()), params)
         assert len(fds) == len(drawn) == len(params)
         assert all(np.array_equal(a, b) for a, b in zip(fds, drawn))
+
+    def test_mlp_and_gram_schmidt_rows_match_the_per_coordinate_loop(self, monkeypatch,
+                                                                     fd_reference):
+        # the rows' stacked differences, bit for bit, are those of their
+        # scalar objectives one coordinate at a time: w . y for the MLP and
+        # sum(W * Q) for Gram-Schmidt
+        fds = self.spy_fds(monkeypatch)
+        assert checks.check_mlp_gradients().passed
+        assert checks.check_gram_schmidt_gradients().passed
+
+        stream = RandomStream(checks.DEFAULT_SEED)
+        mlp = nn.init_mlp((3, 5, 2), stream.split(0))
+        x = stream.split(1).normal((1, 3))
+        w = stream.split(2).normal((1, 2))
+        M = stream.normal((1, 3, 3))
+        W = stream.split(1).normal((1, 3, 3))
+        looped = (fd_reference(lambda p: float(w[0] @ nn.mlp_forward(p, x)[0][0]), mlp)
+                  + fd_reference(lambda p: float((W * nn.gram_schmidt_forward(p[0])[0]).sum()),
+                                 [M]))
+        assert len(fds) == len(looped) == len(mlp) + 1
+        assert all(np.array_equal(a, b) for a, b in zip(fds, looped))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("variant", bench.VARIANTS)
+    def test_stacked_differences_match_the_per_coordinate_loop(self, variant, d,
+                                                               fd_reference):
+        # the end-to-end check's construction on every variant: k's
+        # differences through _act at the fixed coset and gamma's through
+        # _forward at the fixed noise, stacked and one coordinate at a time
+        m = bench.InversionModel(variant, d=d, hidden=8)
+        stream = RandomStream(checks.DEFAULT_SEED + d)
+        params = m.init(stream.split(0))
+        X = bench.sample_batch(d, 4, stream.split(1))
+        noise = m._noise(len(X), stream.split(2))
+        _, cache = m._forward(params, X, noise)
+        pk, pg, C = cache["pk"], cache["pg"], cache["C"]
+        fds = []
+        for fd, loss in ((checks.finite_difference_grads,
+                          lambda Yhat: bench._batch_losses(X, Yhat).mean(axis=-1)),
+                         (fd_reference, lambda Yhat: float(bench._batch_losses(X, Yhat).mean()))):
+            fds.append(fd(lambda p: loss(m._act(p, X, C)[0]), pk)
+                       + fd(lambda p: loss(m._forward(pk + p, X, noise)[0]), pg))
+        stacked, looped = fds
+        assert len(stacked) == len(looped) == len(params)
+        assert all(np.array_equal(a, b) for a, b in zip(stacked, looped))
 
     @staticmethod
     def count_calls(monkeypatch, counts, owner, name):
@@ -463,6 +561,20 @@ class TestGradients:
         self.count_calls(monkeypatch, counts, np.random, "Philox")
         assert all(r.passed for r in checks.run_suite("gradients"))
         assert counts["SeedSequence"] == 0 and counts["Philox"] > 0
+
+    def test_gradients_suite_runs_one_forward_per_parameter_array(self, monkeypatch):
+        # each parameter array's finite differences are one stacked forward;
+        # one forward per perturbed coordinate made 733 mlp_forward, 205
+        # gram_schmidt_forward, 186 _forward and 482 _act calls
+        counts = {}
+        for owner, name in ((nn, "mlp_forward"), (nn, "gram_schmidt_forward"),
+                            (bench.InversionModel, "_forward"), (bench.InversionModel, "_act")):
+            self.count_calls(monkeypatch, counts, owner, name)
+        assert all(r.passed for r in checks.run_suite("gradients"))
+        assert counts["mlp_forward"] <= 23
+        assert counts["gram_schmidt_forward"] <= 8
+        assert counts["_forward"] <= 6
+        assert counts["_act"] <= 12
 
     def test_gradients_suite_draws_the_noise_once(self, monkeypatch):
         # the end-to-end check draws its noise once and objective_and_grads

@@ -56,11 +56,34 @@ class TestMlp:
 
     def test_unbatched_input_rejected(self):
         # a 1-D input of the right width would otherwise give gradients of
-        # the wrong shape in mlp_backward
+        # the wrong shape in mlp_backward; a stacked input is a forward
+        # only, and the backward rejects its cache
         p = nn.init_mlp((3, 4, 2), RandomStream(0))
-        for x in (np.zeros(3), np.zeros((2, 2, 3)), np.float64(0.0)):
+        for x in (np.zeros(3), np.float64(0.0)):
             with pytest.raises(ValueError):
                 nn.mlp_forward(p, x)
+        _, cache = nn.mlp_forward(p, np.zeros((2, 2, 3)))
+        for dout in (np.zeros((2, 2, 2)), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match="batch"):
+                nn.mlp_backward(p, cache, dout)
+
+    @pytest.mark.parametrize("stacked_input", [False, True])
+    def test_stacked_forward_equals_rowwise(self, stacked_input):
+        # a leading stack axis on every parameter, and on the input or not:
+        # row i equals the batch forward with row i's parameters, bit for bit
+        rows = [nn.init_mlp((3, 6, 6, 2), RandomStream(seed)) for seed in range(4)]
+        for i, p in enumerate(rows):
+            p[1::2] = [RandomStream(10 + i).split(j).normal(b.shape)
+                       for j, b in enumerate(p[1::2])]
+        stacked = [np.stack(arrays) for arrays in zip(*rows)]
+        X = RandomStream(20).normal((4, 5, 3) if stacked_input else (5, 3))
+        Y, cache = nn.mlp_forward(stacked, X)
+        assert Y.shape == (4, 5, 2)
+        for i, p in enumerate(rows):
+            y, row_cache = nn.mlp_forward(p, X[i] if stacked_input else X)
+            assert np.array_equal(Y[i], y)
+            assert all(np.array_equal(np.broadcast_to(a, (4,) + b.shape)[i], b)
+                       for a, b in zip(cache["inputs"], row_cache["inputs"]))
 
     def test_gradients_match_finite_differences(self):
         result = check_mlp_gradients()
@@ -74,7 +97,7 @@ class TestMlp:
 
         def objective(flat):
             Y, _ = nn.mlp_forward(flat, X)
-            return float((W * Y).sum())
+            return (W * Y).sum(axis=(-2, -1))
 
         Y, cache = nn.mlp_forward(p, X)
         grads, dX = nn.mlp_backward(p, cache, W)
@@ -173,9 +196,20 @@ class TestGramSchmidt:
             assert np.allclose(Qs[i], Qi[0])
 
     def test_unbatched_input_rejected(self):
-        for M in (np.eye(3), np.zeros((2, 3, 2)), np.zeros((2, 2, 3, 3))):
+        for M in (np.eye(3), np.zeros((2, 3, 2))):
             with pytest.raises(ValueError):
                 nn.gram_schmidt_forward(M)
+        # a stacked input is a forward only, and the backward rejects it
+        _, cache = nn.gram_schmidt_forward(RandomStream(1).normal((2, 2, 3, 3)))
+        for dQ in (np.zeros((2, 2, 3, 3)), np.zeros((2, 3, 3))):
+            with pytest.raises(ValueError, match="stack"):
+                nn.gram_schmidt_backward(cache, dQ)
+
+    def test_stacked_forward_equals_rowwise(self):
+        M = RandomStream(2).normal((4, 5, 3, 3))
+        Q, _ = nn.gram_schmidt_forward(M)
+        for i in range(4):
+            assert np.array_equal(Q[i], nn.gram_schmidt_forward(M[i])[0])
 
     def test_gradients_match_finite_differences(self):
         result = check_gram_schmidt_gradients()
@@ -188,7 +222,7 @@ class TestGramSchmidt:
 
         def objective(params):
             Q, _ = nn.gram_schmidt_forward(params[0])
-            return float((W * Q).sum())
+            return (W * Q).sum(axis=(-3, -2, -1))
 
         _, cache = nn.gram_schmidt_forward(Ms)
         dM = nn.gram_schmidt_backward(cache, W)

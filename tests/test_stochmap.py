@@ -230,6 +230,18 @@ class TestStreams:
                stream.permutation(6))
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
+    @pytest.mark.parametrize("k", [0, 1, 333])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_permutation_stack_is_successive_single_draws(self, n, k):
+        # one (k, n) stack draws what k single draws draw, and leaves the
+        # stream where they leave it
+        stacked, single = RandomStream(8).split(n), RandomStream(8).split(n)
+        P = stacked.permutation(n, k)
+        assert P.shape == (k, n) and P.dtype.kind == "i"
+        assert [tuple(int(i) for i in row) for row in P] == [single.permutation(n)
+                                                           for _ in range(k)]
+        assert stacked.permutation(n) == single.permutation(n)
+
     def test_child_independent_of_parent_drawing_first(self):
         drew, idle = RandomStream(5).split(2), RandomStream(5).split(2)
         drew.normal(3)
