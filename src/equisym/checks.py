@@ -3,9 +3,11 @@ symmetrisation identities, and gradient correctness.
 
 Each suite returns a list of CheckResult rows; the CLI renders them and
 the acceptance tests assert on them.  The group and coset laws run as one
-call on stacks of samples, S_n's included.  The finite differences run one
-stacked forward per parameter array, with the differences of a
-per-coordinate loop, bit for bit.
+call on stacks of samples, S_n's included.  Each stability case draws its
+inputs as one stack and makes one stacked symmetrised draw,
+sym.sampler(xs, stream, n), whose rows are n independent draws (see
+stochmap).  The finite differences run one stacked forward per parameter
+array, with the differences of a per-coordinate loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -185,7 +187,8 @@ def check_janossy_equivariance(n: int) -> CheckResult:
 
 
 def _stability_cases():
-    """(name, bundle, act, gamma, sample_x); act acts on both X and Y."""
+    """(name, bundle, act, gamma, sample_x); act acts on both X and Y, and
+    act, gamma and sample_x(stream, n) work on stacks of n points."""
     cases = []
 
     # trivial bundle over O(2), on R^{2 x 5} with column rotation
@@ -193,16 +196,17 @@ def _stability_cases():
     bundle = coset_bundle_trivial(G)
     act = Action(group=G, space=Space("R^(2x5)", (2, 5)), apply=lambda Q, x: Q @ x)
     cases.append(("trivial O(2) haar", bundle, act, gamma_from_haar(bundle, act),
-                  lambda s: s.normal((2, 5))))
+                  lambda s, n: s.normal((n, 2, 5))))
 
     # O(2) in GL(2), on R^{2 x 4} under left multiplication, gamma(B) = B B^T
     gl = general_linear_group(2)
     bundle = coset_bundle_orthogonal_in_gl(2, gl=gl)
     act = Action(group=gl, space=Space("R^(2x4)", (2, 4)), apply=lambda A, x: A @ x)
-    gamma = lift_deterministic(lambda B: B[:, :2] @ B[:, :2].T, act.space,
-                               bundle.coset_space)
+    gamma = lift_deterministic(lambda B: B[..., :2] @ np.swapaxes(B[..., :2], -1, -2),
+                               act.space, bundle.coset_space)
     cases.append(("O(2) in GL(2) gram gamma", bundle, act, gamma,
-                  lambda s: np.concatenate([gl.random_element(s), s.normal((2, 2))], axis=1)))
+                  lambda s, n: np.concatenate([gl.random_element(s, n), s.normal((n, 2, 2))],
+                                              axis=-1)))
 
     # SE(2) on point clouds, via_H with gamma = columnwise mean and via_N
     # with gamma = Haar on SO(2)
@@ -210,31 +214,30 @@ def _stability_cases():
 
     def se_apply(g, x):
         t, Q = g
-        return Q @ x + t[:, None]
+        return Q @ x + t[..., :, None]
 
     act = Action(group=se, space=Space("R^(2x5)", (2, 5)), apply=se_apply)
     bundle = coset_bundle_semidirect(se, "via_H")
     cases.append(("SE(2) via_H columnwise mean", bundle, act,
-                  gamma_columnwise_mean(bundle, act), lambda s: s.normal((2, 5))))
+                  gamma_columnwise_mean(bundle, act), lambda s, n: s.normal((n, 2, 5))))
     bundle = coset_bundle_semidirect(se, "via_N")
     cases.append(("SE(2) via_N haar", bundle, act, gamma_from_haar(bundle, act),
-                  lambda s: s.normal((2, 5))))
+                  lambda s, n: s.normal((n, 2, 5))))
     return cases
 
 
 def check_stability(n_points: int = 100, tol: float = 1e-9) -> List[CheckResult]:
     """sym_gamma(k)(x) = k(x) pointwise for the identity k, which is
-    deterministic, equivariant and X-valued."""
+    deterministic, equivariant and X-valued: one stack of n_points inputs
+    from split(0) and one stacked symmetrised draw from split(1) per case."""
     out = []
     for name, bundle, act, gamma, sample_x in _stability_cases():
         k = lift_deterministic(lambda x: x, act.space, act.space)
         sym = symmetrise(k, SymmetrisationSpec(bundle, act, act, gamma))
         stream = RandomStream(DEFAULT_SEED)
-        worst = 0.0
-        for i in range(n_points):
-            x = sample_x(stream.split(2 * i))
-            y = sym.sampler(x, stream.split(2 * i + 1))
-            worst = max(worst, element_distance(y, k.sampler(x, stream)))
+        xs = sample_x(stream.split(0), n_points)
+        worst = element_distance(sym.sampler(xs, stream.split(1), n_points),
+                                 k.sampler(xs, stream, n_points))
         out.append(CheckResult(f"stability {name}", worst <= tol, worst))
     return out
 

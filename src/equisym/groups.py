@@ -69,10 +69,11 @@ class GroupDescriptor:
             self.random_element = self.haar
 
 
-def haar_sample(G: GroupDescriptor, stream: RandomStream):
+def haar_sample(G: GroupDescriptor, stream: RandomStream, n: Optional[int] = None):
+    """A Haar sample of G, or a stack of n; a single draw calls G.haar(stream)."""
     if G.haar is None:
         raise NoHaarError(f"group {G.name} has no Haar measure (not compact)")
-    return G.haar(stream)
+    return G.haar(stream) if n is None else G.haar(stream, n)
 
 
 def _stack_shape(n: Optional[int]) -> tuple:
@@ -205,8 +206,10 @@ def perm_inverse(s):
 
 def perm_apply(s: tuple, x: tuple) -> tuple:
     """Move entry i to position s(i): result[s(i)] = x[i]."""
-    inv_s = perm_inverse(s)
-    return tuple(x[inv_s[j]] for j in range(len(s)))
+    out = [None] * len(s)
+    for i, si in enumerate(s):
+        out[si] = x[i]
+    return tuple(out)
 
 
 def symmetric_group(n: int) -> GroupDescriptor:

@@ -2,14 +2,19 @@
 
 A StochasticMap is a conditional distribution realized as a function
 (input, RandomStream) -> output.  Deterministic functions are the special
-case whose sampler ignores the stream.  Maps with finite support
-additionally carry an exact enumerator with rational probabilities, which
-is what lets the test suite check distributional identities with zero
-tolerance.
+case whose sampler ignores the stream.  A sampler takes an optional count,
+sampler(x, stream, n): x is then a stack of n points on a leading axis (a
+pair of stacks for pair points, a sequence for finite_map) and the sampler
+returns n independent outputs, the map's n-fold product kernel.  A single
+draw passes no count, so a two-argument sampler still serves single draws.
+Maps with finite support additionally carry an exact enumerator with
+rational probabilities, which is what lets the test suite check
+distributional identities with zero tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -191,7 +196,7 @@ def pair_space(a: Space, b: Space) -> Space:
 class StochasticMap:
     domain: Space
     codomain: Space
-    sampler: Callable  # (x, RandomStream) -> y
+    sampler: Callable  # (x, RandomStream, n=None) -> y, or a stack of n
     deterministic: bool = False
     enumerator: Optional[Callable] = None  # x -> list[(Fraction, y)], each y once
 
@@ -206,6 +211,12 @@ def sample(k: StochasticMap, x, stream: RandomStream):
     return k.sampler(x, stream)
 
 
+def call_sampler(k: StochasticMap, x, stream: RandomStream, n: Optional[int] = None):
+    """k's sampler on x, or on a stack of n points; without n it is called
+    with two arguments."""
+    return k.sampler(x, stream) if n is None else k.sampler(x, stream, n)
+
+
 def monte_carlo_mean(draw: Callable, stream: RandomStream, n: int):
     """(1/n) sum_i draw(stream.split(i)), summed in order i = 0, ..., n - 1;
     n must be at least 1."""
@@ -217,7 +228,8 @@ def monte_carlo_mean(draw: Callable, stream: RandomStream, n: int):
 
 
 def lift_deterministic(f: Callable, domain: Space, codomain: Space) -> StochasticMap:
-    """Wrap a deterministic function as a stream-independent stochastic map."""
+    """Wrap a deterministic function as a stream-independent stochastic map;
+    a stacked draw passes the stack to f."""
 
     def enum(x):
         return [(Fraction(1), f(x))]
@@ -225,7 +237,7 @@ def lift_deterministic(f: Callable, domain: Space, codomain: Space) -> Stochasti
     return StochasticMap(
         domain=domain,
         codomain=codomain,
-        sampler=lambda x, stream: f(x),
+        sampler=lambda x, stream, n=None: f(x),
         deterministic=True,
         enumerator=enum,
     )
@@ -237,17 +249,24 @@ def finite_map(outcomes: Callable, domain: Space, codomain: Space) -> Stochastic
     outcomes(x) must return a list of (Fraction probability, point) whose
     probabilities sum to 1; a point may repeat, and the enumerator merges
     repeats.  The sampler draws by inverse CDF on a single uniform variate
-    over the list as given.
+    over the list as given; a stacked draw takes a sequence of n points and
+    returns the list of n successive draws on the one stream.
     """
 
-    def sampler(x, stream: RandomStream):
+    def sampler(x, stream: RandomStream, n: Optional[int] = None):
+        if n is not None:
+            return [draw_one(xi, stream) for xi in x]
+        return draw_one(x, stream)
+
+    def draw_one(x, stream: RandomStream):
+        # u = i/d < p_1 + ... + p_j exactly when i < (p_1 + ... + p_j) d
         atoms = outcomes(x)
-        d = _common_denominator(atoms)
-        u = Fraction(stream.choice_index(d), d)
-        acc = Fraction(0)
+        d = math.lcm(*(p.denominator for p, _ in atoms))
+        i = stream.choice_index(d)
+        acc = 0
         for p, y in atoms:
-            acc += p
-            if u < acc:
+            acc += p.numerator * (d // p.denominator)
+            if i < acc:
                 return y
         return atoms[-1][1]
 
@@ -255,27 +274,20 @@ def finite_map(outcomes: Callable, domain: Space, codomain: Space) -> Stochastic
                          enumerator=lambda x: merge_atoms(outcomes(x)))
 
 
-def _common_denominator(atoms) -> int:
-    d = 1
-    for p, _ in atoms:
-        d = d * p.denominator // np.gcd(d, p.denominator)
-    return int(d)
-
-
 def compose(m: StochasticMap, k: StochasticMap) -> StochasticMap:
     """Sequential composition m after k.
 
-    Child streams: k draws from split(stream, 0), m from split(stream, 1).
-    This splitting discipline is frozen so sample paths are reproducible.
+    Child streams: k draws from split(stream, 0), m from split(stream, 1),
+    a stack of each role from its one stream.  This splitting discipline is
+    frozen so sample paths are reproducible.
     """
     if k.codomain != m.domain:
         raise CompositionError(
             f"cannot compose: intermediate spaces {k.codomain} vs {m.domain}"
         )
 
-    def sampler(x, stream: RandomStream):
-        y = k.sampler(x, stream.split(0))
-        return m.sampler(y, stream.split(1))
+    def sampler(x, stream: RandomStream, n: Optional[int] = None):
+        return call_sampler(m, call_sampler(k, x, stream.split(0), n), stream.split(1), n)
 
     enum = None
     if k.finite_support and m.finite_support:
@@ -293,11 +305,13 @@ def compose(m: StochasticMap, k: StochasticMap) -> StochasticMap:
 
 
 def product(k: StochasticMap, m: StochasticMap) -> StochasticMap:
-    """Parallel composition: sample both factors independently, pair results."""
+    """Parallel composition: sample both factors independently, pair results;
+    k draws from split(0) and m from split(1), and a stacked draw takes and
+    returns a pair of stacks."""
 
-    def sampler(xu, stream: RandomStream):
+    def sampler(xu, stream: RandomStream, n: Optional[int] = None):
         x, u = xu
-        return (k.sampler(x, stream.split(0)), m.sampler(u, stream.split(1)))
+        return (call_sampler(k, x, stream.split(0), n), call_sampler(m, u, stream.split(1), n))
 
     enum = None
     if k.finite_support and m.finite_support:

@@ -9,6 +9,12 @@ by its representative, applying the map, and re-acting:
 Also provided: Haar and columnwise-mean base cases for gamma, the
 expectation operator, and sequential composition of symmetrisation
 procedures.
+
+The symmetrised sampler and both base gammas take the optional count of
+stochmap's samplers: sampler(xs, stream, n) draws n independent outputs on
+a stack of n points, gamma's stack from split(0) and k's from split(1), so
+the bundle's s, the group's inv and both actions must accept stacks.  A
+single draw (no n) draws what it always drew, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .stochmap import (
     RandomStream,
     StochasticMap,
     bind,
+    call_sampler,
     distributions_equal,
     lift_deterministic,
     monte_carlo_mean,
@@ -113,7 +120,8 @@ def _flatten_point(c):
 def symmetrise(k: StochasticMap, spec: SymmetrisationSpec) -> StochasticMap:
     """Symmetrise k along the spec's coset bundle using its gamma.
 
-    gamma draws from split(0) and k from split(1), as in compose.  An
+    gamma draws from split(0) and k from split(1), as in compose, a stack
+    of each role from its one stream when the draw is stacked.  An
     unconstrained gamma0 into a bundle's coset space, symmetrised with that
     bundle's coset action as the Y-action, is an equivariant gamma for it.
     """
@@ -131,9 +139,9 @@ def symmetrise(k: StochasticMap, spec: SymmetrisationSpec) -> StochasticMap:
         g = bundle.s(c)
         return g, ax(G.inv(g), x)
 
-    def sampler(x, stream: RandomStream):
-        g, x0 = through(gamma.sampler(x, stream.split(0)), x)
-        return ay(g, k.sampler(x0, stream.split(1)))
+    def sampler(x, stream: RandomStream, n: Optional[int] = None):
+        g, x0 = through(call_sampler(gamma, x, stream.split(0), n), x)
+        return ay(g, call_sampler(k, x0, stream.split(1), n))
 
     enum = None
     if gamma.finite_support and k.finite_support:
@@ -166,8 +174,8 @@ def gamma_from_haar(bundle: CosetBundle, aX: Action) -> StochasticMap:
             "gamma_from_haar needs a coset space that is a compact group"
         )
 
-    def sampler(x, stream: RandomStream):
-        return haar_sample(cg, stream)
+    def sampler(x, stream: RandomStream, n: Optional[int] = None):
+        return haar_sample(cg, stream, n)
 
     sm = StochasticMap(
         domain=aX.space,
@@ -185,9 +193,10 @@ def gamma_columnwise_mean(bundle: CosetBundle, aX: Action) -> StochasticMap:
     """Deterministic gamma x -> (1/n) sum_i x_i for columnwise actions on R^{d x n}.
 
     Equivariant for the trivial bundle over T_d and the via_H bundle of
-    SE(d), whose coset spaces are both T_d concretely.
+    SE(d), whose coset spaces are both T_d concretely.  The mean is over the
+    last axis, so a stack of points gives a stack of means.
     """
-    return lift_deterministic(lambda x: np.asarray(x, dtype=float).mean(axis=1),
+    return lift_deterministic(lambda x: np.asarray(x, dtype=float).mean(axis=-1),
                               aX.space, bundle.coset_space)
 
 
@@ -202,7 +211,8 @@ def average(
     Exact mode sums p * y over the finite support (exact in rationals when
     the outcomes are rational).  Monte Carlo mode averages n_samples draws
     using streams derived from a seed frozen at construction, so the
-    returned map is itself deterministic.
+    returned map is itself deterministic.  It averages at one point, so
+    its sampler takes single points only.
     """
     if mode == "exact_enumeration":
         if not k.finite_support:

@@ -247,7 +247,7 @@ class TestCheckOutput:
     PINNED_SHA256 = {
         "groups": "e4c37eba53e855cd7a7574ba1ebd65af0737a9bf47ba21b3dbefbbd99e995035",
         "cosets": "ebc0304bef904ca27e770f6ea5678b1bb1b8330966e235ee05c38330f603abf2",
-        "symmetrise": "58b000c4d6c4343343ba3950b6d48403482d717813803a944c8b17c617a4f5ad",
+        "symmetrise": "97e014206cc846b1008db26b5db9cf40c38f6c330f791b3001f3ca430887042d",
         "gradients": "612dd08e54997ff5b6530f6b73a3bf63f9a5a48eb7baf165dc26de5e68e826a9",
     }
 

@@ -334,6 +334,13 @@ class TestPermutations:
         for i in range(3):
             assert out[s[i]] == x[i]
 
+    def test_action_is_indexing_through_the_inverse_on_s4(self):
+        # the one-pass scatter gives the tuples of result[j] = x[s^-1(j)]
+        x = ("a", "b", "c", "d")
+        for s in symmetric_group(4).elements:
+            inv_s = perm_inverse(s)
+            assert perm_apply(s, x) == tuple(x[inv_s[j]] for j in range(4))
+
 
 class TestSemidirect:
     def test_se2_identity(self):

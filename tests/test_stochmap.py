@@ -42,6 +42,12 @@ def derivation_cases():
             for seed in seeds for depth in range(7)]
 
 
+def noise_map():
+    """x -> x + N(0, 1), on a single point or a stack."""
+    return StochasticMap(domain=R1, codomain=R1,
+                         sampler=lambda x, s, n=None: x + s.normal(np.shape(x)))
+
+
 def fair_coin(labels=("a", "b")):
     half = Fraction(1, 2)
     return finite_map(lambda x: [(half, labels[0]), (half, labels[1])], ANY, ANY)
@@ -97,13 +103,19 @@ class TestCompose:
         assert sample(compose(g, f), 2, RandomStream(0)) == 9
 
     def test_noise_after_double_mean(self):
-        double = lift_deterministic(lambda x: 2.0 * x, R1, R1)
+        # the mean of 10^5 draws of 2 + N(0, 1), one stack: the bound is
+        # 6.3 standard errors, a false-failure rate of 3e-10
+        k = compose(noise_map(), lift_deterministic(lambda x: 2.0 * x, R1, R1))
+        n = 10**5
+        draws = k.sampler(np.ones(n), RandomStream(7), n)
+        assert draws.shape == (n,)
+        assert abs(np.mean(draws) - 2.0) < 0.02
+
+    def test_two_argument_samplers_serve_single_draws(self):
         noise = StochasticMap(domain=R1, codomain=R1,
                               sampler=lambda x, s: x + float(s.normal()))
-        k = compose(noise, double)
-        stream = RandomStream(7)
-        draws = [k.sampler(1.0, stream.split(i)) for i in range(10**5)]
-        assert abs(np.mean(draws) - 2.0) < 0.02
+        k = compose(noise, lift_deterministic(lambda x: 2.0 * x, R1, R1))
+        assert k.sampler(1.0, RandomStream(7)) == 2.0 + RandomStream(7).split(1).normal()
 
     def test_finite_multiply_and_merge(self):
         relabel = lift_deterministic(lambda v: "b", ANY, ANY)
@@ -147,6 +159,65 @@ class TestProduct:
         atoms = enumerate_distribution(p, (None, None))
         assert len(atoms) == 4
         assert all(pr == Fraction(1, 4) for pr, _ in atoms)
+
+
+class TestStacks:
+    """A stacked draw, sampler(xs, stream, n), against the single-point law:
+    each role's stack comes from its split of the stream, row 0 is the
+    single draw on the same stream, and the rows are n independent draws."""
+
+    n = 10**4
+
+    def test_compose_stack_matches_single_point_law(self):
+        # y = 2x + Z at x_i = i mod 3, so the residuals y - 2x are N(0, 1):
+        # their mean and variance within 5 standard errors, a false-failure
+        # rate of 1.2e-6
+        k = compose(noise_map(), lift_deterministic(lambda x: 2.0 * x, R1, R1))
+        xs = np.arange(self.n) % 3.0
+        ys = k.sampler(xs, RandomStream(3), self.n)
+        assert np.array_equal(ys, 2.0 * xs + RandomStream(3).split(1).normal(self.n))
+        assert ys[0] == k.sampler(xs[0], RandomStream(3))
+        r = ys - 2.0 * xs
+        assert abs(r.mean()) <= 5 / np.sqrt(self.n)
+        assert abs(r.var() - 1.0) <= 5 * np.sqrt(2 / self.n)
+
+    def test_product_stack_matches_single_point_law(self):
+        # (x + Z, fair coin) on a pair of stacks: the residuals' mean and
+        # variance, the coin's frequency and the residuals' mean difference
+        # between the coin's sides, each within 5 standard errors, a
+        # false-failure rate of 2.3e-6
+        p = product(noise_map(), fair_coin())
+        xs = np.arange(self.n) % 3.0
+        ys, coins = p.sampler((xs, [None] * self.n), RandomStream(4), self.n)
+        assert np.array_equal(ys, xs + RandomStream(4).split(0).normal(self.n))
+        assert coins == fair_coin().sampler([None] * self.n, RandomStream(4).split(1), self.n)
+        y0, coin0 = p.sampler((xs[0], None), RandomStream(4))
+        assert ys[0] == y0 and coins[0] == coin0
+        r, heads = ys - xs, np.array(coins) == "a"
+        assert abs(r.mean()) <= 5 / np.sqrt(self.n)
+        assert abs(r.var() - 1.0) <= 5 * np.sqrt(2 / self.n)
+        assert abs(heads.mean() - 0.5) <= 5 * 0.5 / np.sqrt(self.n)
+        se = np.sqrt(1 / heads.sum() + 1 / (~heads).sum())
+        assert abs(r[heads].mean() - r[~heads].mean()) <= 5 * se
+
+    def test_finite_map_draw_is_the_inverse_cdf_of_one_index(self):
+        # the draw is the first atom whose cumulative probability exceeds
+        # u = i/d, for i the stream's one index below the common denominator
+        atoms = [(Fraction(1, 6), "a"), (Fraction(1, 4), "b"), (Fraction(1, 3), "c"),
+                 (Fraction(1, 4), "d")]
+        k = finite_map(lambda x: atoms, ANY, ANY)
+        for seed in range(200):
+            u = Fraction(RandomStream(seed).choice_index(12), 12)
+            cdf = np.cumsum([p for p, _ in atoms])
+            assert k.sampler(None, RandomStream(seed)) == atoms[int(np.sum(cdf <= u))][1]
+
+    def test_finite_map_stack_is_successive_single_draws(self):
+        # exact, so it cannot fail by chance; the law of the draws is
+        # TestStreams::test_enumerator_sampler_agreement's
+        k = finite_map(lambda x: [(Fraction(1, x), "a"), (1 - Fraction(1, x), "b")], ANY, ANY)
+        xs = [2, 3, 5, 7] * 250
+        single = RandomStream(5)
+        assert k.sampler(xs, RandomStream(5), len(xs)) == [k.sampler(x, single) for x in xs]
 
 
 class TestEnumerate:
@@ -261,9 +332,11 @@ class TestStreams:
         k = finite_map(
             lambda x: [(Fraction(1, 4), "a"), (Fraction(3, 4), "b")], ANY, ANY
         )
-        stream = RandomStream(11)
+        # 10^5 successive draws on one stream, one stack; each frequency
+        # within 4 standard errors, a false-failure rate of 6e-5 (the two
+        # deviations are equal)
         n = 10**5
-        draws = [k.sampler(None, stream.split(i)) for i in range(n)]
+        draws = k.sampler([None] * n, RandomStream(11), n)
         for p, y in enumerate_distribution(k, None):
             freq = draws.count(y) / n
             bound = 4 * np.sqrt(float(p) * (1 - float(p)) / n)

@@ -236,6 +236,97 @@ class TestCheckFailBranches:
         result = checks.check_idempotence()
         assert not result.passed and result.worst_error == 1.0
 
+    def test_stability_fails_on_map_that_is_not_equivariant(self, monkeypatch):
+        # k swapped for x -> W x with W neither orthogonal nor commuting with
+        # rotations: no case's group leaves it fixed, so every row fails
+        W = np.array([[2.0, 1.0], [0.0, 1.0]])
+        lift = checks.lift_deterministic
+
+        def skewed_k(f, domain, codomain):  # k is the one lift from X to X
+            return lift((lambda x: W @ f(x)) if domain == codomain else f, domain, codomain)
+
+        monkeypatch.setattr(checks, "lift_deterministic", skewed_k)
+        results = checks.check_stability()
+        assert len(results) == 4
+        assert all(not r.passed and r.worst_error > 1e-3 for r in results)
+
+
+class TestStacks:
+    """A stacked symmetrised draw against single-point draws on the
+    stability cases, with k = W x so the output is not the input."""
+
+    W = np.array([[2.0, 1.0], [0.0, 1.0]])
+
+    def sym_and_points(self, name, n=50):
+        case = {c[0]: c[1:] for c in checks._stability_cases()}[name]
+        bundle, act, gamma, sample_x = case
+        k = lift_deterministic(lambda x: self.W @ x, act.space, act.space)
+        sym = symmetrise(k, SymmetrisationSpec(bundle, act, act, gamma))
+        return sym, sample_x(RandomStream(5), n)
+
+    @pytest.mark.parametrize("name", ["SE(2) via_H columnwise mean",
+                                      "O(2) in GL(2) gram gamma"])
+    def test_deterministic_gamma_rows_are_single_draws(self, name):
+        sym, xs = self.sym_and_points(name)
+        ys = sym.sampler(xs, RandomStream(6), len(xs))
+        assert ys.shape == xs.shape
+        for x, y in zip(xs, ys):
+            assert np.array_equal(y, sym.sampler(x, RandomStream(6)))
+
+    @pytest.mark.parametrize("name", ["trivial O(2) haar", "SE(2) via_N haar"])
+    def test_haar_gamma_row_0_is_the_single_draw_and_rows_differ(self, name):
+        # one point repeated: the rows differ only through gamma's draws
+        sym, xs = self.sym_and_points(name)
+        xs = np.broadcast_to(xs[0], xs.shape)
+        ys = sym.sampler(xs, RandomStream(6), len(xs))
+        assert np.array_equal(ys[0], sym.sampler(xs[0], RandomStream(6)))
+        flat = ys.reshape(len(ys), -1)
+        assert len({row.tobytes() for row in flat}) == len(ys)
+
+    def test_gamma_stack_comes_from_split_0(self):
+        # trivial O(2): s is the identity, so the draw is Q W Q^-1 x for the
+        # Haar stack Q drawn from split(0)
+        sym, xs = self.sym_and_points("trivial O(2) haar")
+        G = orthogonal_group(2)
+        Q = G.haar(RandomStream(6).split(0), len(xs))
+        assert np.array_equal(sym.sampler(xs, RandomStream(6), len(xs)),
+                              Q @ (self.W @ (G.inv(Q) @ xs)))
+
+    def test_two_argument_haar_serves_single_draws(self):
+        A3 = alternating_group_3()
+        bundle = coset_bundle_trivial(A3)
+        gamma = _haar_on(bundle, Action(group=A3, space=Space("tuple3"), apply=perm_apply))
+        assert gamma.sampler((1.0, 2.0, 3.0), RandomStream(0)) in A3.elements
+
+    def test_stability_check_draws_one_stack_per_case(self, monkeypatch):
+        # one symmetrised draw per case, and one generator for its inputs
+        # and one for a Haar gamma, on top of the 3 that building SE(2)
+        # draws for its compatibility check: 9 in all.  One draw per point
+        # made 400 sampler calls and 603 generators
+        counts = {"sampler": 0, "Philox": 0}
+        real_symmetrise, real_philox = checks.symmetrise, np.random.Philox
+
+        def counted_symmetrise(k, spec):
+            sym = real_symmetrise(k, spec)
+            sampler = sym.sampler
+
+            def counted(*args):
+                counts["sampler"] += 1
+                return sampler(*args)
+
+            sym.sampler = counted
+            return sym
+
+        def counted_philox(*args, **kwargs):
+            counts["Philox"] += 1
+            return real_philox(*args, **kwargs)
+
+        monkeypatch.setattr(checks, "symmetrise", counted_symmetrise)
+        monkeypatch.setattr(np.random, "Philox", counted_philox)
+        assert all(r.passed for r in checks.check_stability())
+        assert counts["sampler"] == 4
+        assert counts["Philox"] <= 16
+
 
 class TestAverage:
     def test_exact_rational(self):
