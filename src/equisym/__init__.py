@@ -8,11 +8,9 @@ from .stochmap import (
     enumerate_distribution,
     lift_deterministic,
     product,
-    sample,
 )
 from .groups import (
     GroupDescriptor,
-    direct_product,
     general_linear_group,
     haar_sample,
     orthogonal_group,
@@ -29,8 +27,6 @@ from .equivariance import (
     coset_bundle_orthogonal_in_gl,
     coset_bundle_semidirect,
     coset_bundle_trivial,
-    diagonal_action,
-    restrict_action,
 )
 from .symcore import (
     SymmetrisationSpec,

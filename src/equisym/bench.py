@@ -95,15 +95,6 @@ def sample_batch(d: int, B: int, stream: RandomStream,
                                  f"{REJECTION_LIMIT} batches in a row") from None
 
 
-def loss(y: np.ndarray, yhat: np.ndarray) -> float:
-    """l(y, yhat) = ||y^-1 yhat - I||_F; zero iff yhat = y."""
-    y = np.asarray(y, dtype=float)
-    if abs(np.linalg.det(y)) <= 1e-12:
-        raise np.linalg.LinAlgError("loss target is singular")
-    d = y.shape[0]
-    return float(np.linalg.norm(np.linalg.solve(y, yhat) - np.eye(d)))
-
-
 def _batch_losses(X: np.ndarray, Yhat: np.ndarray) -> np.ndarray:
     """Losses for a batch of inputs X, whose targets y = X^-1 give y^-1 = X."""
     d = X.shape[-1]

@@ -1,5 +1,5 @@
 """Executable property suites: group axioms, coset-bundle laws,
-symmetrisation identities, and gradient correctness.
+symmetrisation identities and the Jensen bound, and gradient correctness.
 
 Each suite returns a list of CheckResult rows; the CLI renders them and
 the acceptance tests assert on them.  The group and coset laws run as one
@@ -43,7 +43,13 @@ from .stochmap import (
     enumerate_distribution,
     lift_deterministic,
 )
-from .symcore import SymmetrisationSpec, gamma_columnwise_mean, gamma_from_haar, symmetrise
+from .symcore import (
+    SymmetrisationSpec,
+    average,
+    gamma_columnwise_mean,
+    gamma_from_haar,
+    symmetrise,
+)
 
 DEFAULT_SEED = 20240817
 
@@ -147,7 +153,8 @@ def check_cosets(n_samples: int = 1000) -> List[CheckResult]:
 
 
 def janossy_setup(n: int):
-    """S_n permuting coordinate tuples, trivial output action, k = first coord."""
+    """S_n permuting coordinate tuples, trivial output action, k = first coord;
+    a stack of m points is an (m, n) array."""
     G = symmetric_group(n)
     bundle = coset_bundle_trivial(G)
     x_space = Space(f"tuple{n}")
@@ -157,7 +164,8 @@ def janossy_setup(n: int):
     gamma = gamma_from_haar(bundle, action_x)
     spec = SymmetrisationSpec(bundle=bundle, action_x=action_x, action_y=action_y,
                               gamma=gamma)
-    k = lift_deterministic(lambda x: x[0], x_space, y_space)
+    k = lift_deterministic(lambda x: x[0] if isinstance(x, tuple) else x[..., 0],
+                           x_space, y_space)
     return spec, k
 
 
@@ -194,14 +202,14 @@ def _stability_cases():
     # trivial bundle over O(2), on R^{2 x 5} with column rotation
     G = orthogonal_group(2)
     bundle = coset_bundle_trivial(G)
-    act = Action(group=G, space=Space("R^(2x5)", (2, 5)), apply=lambda Q, x: Q @ x)
+    act = Action(group=G, space=Space("R^(2x5)"), apply=lambda Q, x: Q @ x)
     cases.append(("trivial O(2) haar", bundle, act, gamma_from_haar(bundle, act),
                   lambda s, n: s.normal((n, 2, 5))))
 
     # O(2) in GL(2), on R^{2 x 4} under left multiplication, gamma(B) = B B^T
     gl = general_linear_group(2)
     bundle = coset_bundle_orthogonal_in_gl(2, gl=gl)
-    act = Action(group=gl, space=Space("R^(2x4)", (2, 4)), apply=lambda A, x: A @ x)
+    act = Action(group=gl, space=Space("R^(2x4)"), apply=lambda A, x: A @ x)
     gamma = lift_deterministic(lambda B: B[..., :2] @ np.swapaxes(B[..., :2], -1, -2),
                                act.space, bundle.coset_space)
     cases.append(("O(2) in GL(2) gram gamma", bundle, act, gamma,
@@ -216,7 +224,7 @@ def _stability_cases():
         t, Q = g
         return Q @ x + t[..., :, None]
 
-    act = Action(group=se, space=Space("R^(2x5)", (2, 5)), apply=se_apply)
+    act = Action(group=se, space=Space("R^(2x5)"), apply=se_apply)
     bundle = coset_bundle_semidirect(se, "via_H")
     cases.append(("SE(2) via_H columnwise mean", bundle, act,
                   gamma_columnwise_mean(bundle, act), lambda s, n: s.normal((n, 2, 5))))
@@ -258,6 +266,20 @@ def check_idempotence() -> CheckResult:
     return CheckResult("idempotence on finite cases", ok, 0.0 if ok else 1.0)
 
 
+def check_jensen_rational() -> CheckResult:
+    """Criterion 7a, in exact rationals: Janossy over S_2 at x = (3, 5), with
+    the scalar surrogate loss |yhat/y - 1| and the invariant target y = 4.
+    The expected loss of a draw is 1/4, and the loss of the exact average
+    is 0, so E[loss] >= loss(E)."""
+    spec, k = janossy_setup(2)
+    sym = symmetrise(k, spec)
+    x, y = (Fraction(3), Fraction(5)), Fraction(4)
+    expected_loss = sum(p * abs(yhat / y - 1) for p, yhat in enumerate_distribution(sym, x))
+    loss_of_mean = abs(average(sym).sampler(x, RandomStream(DEFAULT_SEED)) / y - 1)
+    ok = expected_loss >= loss_of_mean and expected_loss == Fraction(1, 4) and loss_of_mean == 0
+    return CheckResult("jensen bound in exact rationals S_2", ok, 0.0 if ok else 1.0)
+
+
 def check_model_gaps(dims=(2, 3), n_pairs: int = 100,
                      tol: float = 1e-6) -> List[CheckResult]:
     """Coupled equivariance gap of untrained symmetrised benchmark models."""
@@ -283,6 +305,7 @@ def check_symmetrise() -> List[CheckResult]:
     out = [check_janossy_equivariance(n) for n in (2, 3, 4)]
     out += check_stability()
     out.append(check_idempotence())
+    out.append(check_jensen_rational())
     out += check_model_gaps()
     return out
 

@@ -61,26 +61,6 @@ def trivial_action(G: GroupDescriptor, space: Space) -> Action:
     return Action(group=G, space=space, apply=lambda g, x: x)
 
 
-def restrict_action(a: Action, phi: Homomorphism) -> Action:
-    """Turn a G-action into an H-action along phi: H -> G."""
-    if phi.target is not a.group:
-        raise ActionError(
-            f"cannot restrict along {phi.source.name}->{phi.target.name}: "
-            f"action belongs to {a.group.name}"
-        )
-    return Action(group=phi.source, space=a.space, apply=lambda h, x: a.apply(phi.map(h), x))
-
-
-def diagonal_action(aX: Action, aY: Action) -> Action:
-    if aX.group is not aY.group:
-        raise ActionError("diagonal action requires the same group on both factors")
-    return Action(
-        group=aX.group,
-        space=Space(f"({aX.space.name})x({aY.space.name})"),
-        apply=lambda g, xy: (aX.apply(g, xy[0]), aY.apply(g, xy[1])),
-    )
-
-
 def coset_bundle_trivial(G: GroupDescriptor) -> CosetBundle:
     """phi: I -> G; q = s = identity; coset action = left multiplication."""
     I = trivial_group()
@@ -106,7 +86,7 @@ def coset_bundle_orthogonal_in_gl(d: int, gl: Optional[GroupDescriptor] = None) 
     G = gl if gl is not None else general_linear_group(d)
     H = orthogonal_group(d)
     phi = Homomorphism(source=H, target=G, map=lambda Q: Q)
-    space = Space(f"pd({d})", (d, d))
+    space = Space(f"pd({d})")
 
     def s(P):
         P = np.asarray(P, dtype=float)

@@ -1,16 +1,17 @@
 """Concrete groups: orthogonal, translation, general linear, permutation,
-and semidirect/direct products, with Haar samplers where they exist.
+and semidirect products, with Haar samplers where they exist.
 
 Elements are plain values interpreted by their descriptor:
 
 - orthogonal / general linear: dense (d, d) ndarray
 - translation: (d,) ndarray
 - permutation: tuple p with p[i] = sigma(i); composition (s*t)(i) = s(t(i))
-- semidirect / direct products: pair (n, h) of factor elements
+- semidirect products: pair (n, h) of factor elements; a direct product is
+  the semidirect product with the trivial twist (h, n) -> n
 
-Samplers take an optional count n and then return a stack of n samples:
-an array with a leading axis (for S_n an int array, one permutation per
-row), or a pair of stacks for a product.  mul, inv and
+Samplers have the signature (stream, n=None); with a count n they return a
+stack of n samples: an array with a leading axis (for S_n an int array, one
+permutation per row), or a pair of stacks for a product.  mul, inv and
 element_distance accept stacks, and a single element such as the identity
 broadcasts against a stack; row i of a stacked result equals the
 single-element result on row i, bit for bit.
@@ -33,6 +34,7 @@ from .stochmap import RandomStream
 AXIOM_TOL = 1e-9
 DET_TOL = 1e-12
 REJECTION_LIMIT = 100  # batches in a row that accept nothing before a rejection sampler gives up
+TWIST_CHECK_SAMPLES = 32  # random triples on which a semidirect product's twist is checked
 
 
 class GroupError(ValueError):
@@ -70,10 +72,10 @@ class GroupDescriptor:
 
 
 def haar_sample(G: GroupDescriptor, stream: RandomStream, n: Optional[int] = None):
-    """A Haar sample of G, or a stack of n; a single draw calls G.haar(stream)."""
+    """A Haar sample of G, or a stack of n."""
     if G.haar is None:
         raise NoHaarError(f"group {G.name} has no Haar measure (not compact)")
-    return G.haar(stream) if n is None else G.haar(stream, n)
+    return G.haar(stream, n)
 
 
 def _stack_shape(n: Optional[int]) -> tuple:
@@ -204,8 +206,13 @@ def perm_inverse(s):
     return tuple(out)
 
 
-def perm_apply(s: tuple, x: tuple) -> tuple:
-    """Move entry i to position s(i): result[s(i)] = x[i]."""
+def perm_apply(s, x):
+    """Move entry i to position s(i): result[s(i)] = x[i].  A tuple moves a
+    tuple; a (k, n) int stack moves a (k, n) stack of points row by row."""
+    if not isinstance(s, tuple):
+        out = np.empty_like(x)
+        np.put_along_axis(out, s, x, axis=-1)
+        return out
     out = [None] * len(s)
     for i, si in enumerate(s):
         out[si] = x[i]
@@ -244,22 +251,22 @@ def semidirect_product(
     H: GroupDescriptor,
     rho: Callable,
     name: Optional[str] = None,
-    check_samples: int = 32,
 ) -> GroupDescriptor:
     """Semidirect product N x| H with twist rho: (h, n) -> n'.
 
     Multiplication is (n, h)(n', h') = (n * rho(h, n'), h h') and inversion
     (n, h)^-1 = (rho(h^-1, n^-1), h^-1).  The compatibility condition
-    rho(h, n * n') = rho(h, n) * rho(h, n') is verified on random samples
-    at construction, drawn as one stack per role; rho is applied one
-    element at a time, so it need not accept stacks.
+    rho(h, n * n') = rho(h, n) * rho(h, n') is verified on
+    TWIST_CHECK_SAMPLES random triples at construction, drawn as one stack
+    per role; rho is applied one element at a time, so it need not accept
+    stacks.
     """
     stream = RandomStream(2**32 + 7)
-    if check_samples and N.random_element is not None and H.random_element is not None:
-        hs = H.random_element(stream.split(0), check_samples)
-        n1s = N.random_element(stream.split(1), check_samples)
-        n2s = N.random_element(stream.split(2), check_samples)
-        for i in range(check_samples):
+    if N.random_element is not None and H.random_element is not None:
+        hs = H.random_element(stream.split(0), TWIST_CHECK_SAMPLES)
+        n1s = N.random_element(stream.split(1), TWIST_CHECK_SAMPLES)
+        n2s = N.random_element(stream.split(2), TWIST_CHECK_SAMPLES)
+        for i in range(TWIST_CHECK_SAMPLES):
             h, n1, n2 = _row(hs, i), _row(n1s, i), _row(n2s, i)
             lhs = rho(h, N.mul(n1, n2))
             rhs = N.mul(rho(h, n1), rho(h, n2))
@@ -298,12 +305,6 @@ def semidirect_product(
         elements=elements,
         random_element=pair(N.random_element, H.random_element),
         factors=(N, H, rho),
-    )
-
-
-def direct_product(G: GroupDescriptor, H: GroupDescriptor) -> GroupDescriptor:
-    return semidirect_product(
-        G, H, rho=lambda h, n: n, name=f"{G.name} x {H.name}", check_samples=0
     )
 
 

@@ -2,12 +2,11 @@
 
 A StochasticMap is a conditional distribution realized as a function
 (input, RandomStream) -> output.  Deterministic functions are the special
-case whose sampler ignores the stream.  A sampler takes an optional count,
-sampler(x, stream, n): x is then a stack of n points on a leading axis (a
-pair of stacks for pair points, a sequence for finite_map) and the sampler
-returns n independent outputs, the map's n-fold product kernel.  A single
-draw passes no count, so a two-argument sampler still serves single draws.
-Maps with finite support additionally carry an exact enumerator with
+case whose sampler ignores the stream.  Every sampler has the signature
+sampler(x, stream, n=None): with a count n, x is a stack of n points on a
+leading axis (a pair of stacks for pair points, a sequence for finite_map)
+and the sampler returns n independent outputs, the map's n-fold product
+kernel.  Maps with finite support additionally carry an exact enumerator with
 rational probabilities, which is what lets the test suite check
 distributional identities with zero tolerance.
 """
@@ -21,10 +20,6 @@ from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
-
-
-class ShapeError(ValueError):
-    """Input does not match a map's domain descriptor."""
 
 
 class CompositionError(TypeError):
@@ -176,16 +171,6 @@ class Space:
     """Descriptor for a domain or codomain; compared structurally."""
 
     name: str
-    shape: Optional[tuple] = None
-
-    def check(self, x) -> None:
-        if self.shape is None:
-            return
-        shape = np.shape(np.asarray(x, dtype=object))  # ragged points too
-        if shape != self.shape:
-            raise ShapeError(
-                f"point of shape {shape} not in space {self.name} (expected {self.shape})"
-            )
 
 
 def pair_space(a: Space, b: Space) -> Space:
@@ -203,18 +188,6 @@ class StochasticMap:
     @property
     def finite_support(self) -> bool:
         return self.enumerator is not None
-
-
-def sample(k: StochasticMap, x, stream: RandomStream):
-    """Draw once from k(dy|x), advancing the stream deterministically."""
-    k.domain.check(x)
-    return k.sampler(x, stream)
-
-
-def call_sampler(k: StochasticMap, x, stream: RandomStream, n: Optional[int] = None):
-    """k's sampler on x, or on a stack of n points; without n it is called
-    with two arguments."""
-    return k.sampler(x, stream) if n is None else k.sampler(x, stream, n)
 
 
 def monte_carlo_mean(draw: Callable, stream: RandomStream, n: int):
@@ -287,7 +260,7 @@ def compose(m: StochasticMap, k: StochasticMap) -> StochasticMap:
         )
 
     def sampler(x, stream: RandomStream, n: Optional[int] = None):
-        return call_sampler(m, call_sampler(k, x, stream.split(0), n), stream.split(1), n)
+        return m.sampler(k.sampler(x, stream.split(0), n), stream.split(1), n)
 
     enum = None
     if k.finite_support and m.finite_support:
@@ -311,7 +284,7 @@ def product(k: StochasticMap, m: StochasticMap) -> StochasticMap:
 
     def sampler(xu, stream: RandomStream, n: Optional[int] = None):
         x, u = xu
-        return (call_sampler(k, x, stream.split(0), n), call_sampler(m, u, stream.split(1), n))
+        return (k.sampler(x, stream.split(0), n), m.sampler(u, stream.split(1), n))
 
     enum = None
     if k.finite_support and m.finite_support:

@@ -6,15 +6,14 @@ by its representative, applying the map, and re-acting:
 
     C ~ gamma(dc|x),  g = s(C),  Y ~ k(dy | g^-1 . x),  return g . Y
 
-Also provided: Haar and columnwise-mean base cases for gamma, the
+Also provided: Haar and columnwise-mean base cases for gamma, the exact
 expectation operator, and sequential composition of symmetrisation
 procedures.
 
-The symmetrised sampler and both base gammas take the optional count of
-stochmap's samplers: sampler(xs, stream, n) draws n independent outputs on
-a stack of n points, gamma's stack from split(0) and k's from split(1), so
-the bundle's s, the group's inv and both actions must accept stacks.  A
-single draw (no n) draws what it always drew, bit for bit.
+Every sampler here has stochmap's signature sampler(x, stream, n=None):
+sampler(xs, stream, n) draws n independent outputs on a stack of n points,
+gamma's stack from split(0) and k's from split(1), so the bundle's s, the
+group's inv and both actions must accept stacks.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .stochmap import (
     RandomStream,
     StochasticMap,
     bind,
-    call_sampler,
     distributions_equal,
     lift_deterministic,
     monte_carlo_mean,
@@ -140,8 +138,8 @@ def symmetrise(k: StochasticMap, spec: SymmetrisationSpec) -> StochasticMap:
         return g, ax(G.inv(g), x)
 
     def sampler(x, stream: RandomStream, n: Optional[int] = None):
-        g, x0 = through(call_sampler(gamma, x, stream.split(0), n), x)
-        return ay(g, call_sampler(k, x0, stream.split(1), n))
+        g, x0 = through(gamma.sampler(x, stream.split(0), n), x)
+        return ay(g, k.sampler(x0, stream.split(1), n))
 
     enum = None
     if gamma.finite_support and k.finite_support:
@@ -200,39 +198,20 @@ def gamma_columnwise_mean(bundle: CosetBundle, aX: Action) -> StochasticMap:
                               aX.space, bundle.coset_space)
 
 
-def average(
-    k: StochasticMap,
-    n_samples: int = 1,
-    mode: str = "monte_carlo",
-    seed: int = 0,
-) -> StochasticMap:
-    """Expectation operator: replace k by the deterministic map x -> E[k(.|x)].
+def average(k: StochasticMap) -> StochasticMap:
+    """Expectation operator: the deterministic map x -> E[k(.|x)], the sum of
+    p * y over k's finite support (exact in rationals when the outcomes are
+    rational).  A stacked draw takes a sequence of n points and returns the
+    list of their n expectations, as finite_map's stacked draw does."""
+    if not k.finite_support:
+        raise EnumerationError("exact averaging requires finite support")
 
-    Exact mode sums p * y over the finite support (exact in rationals when
-    the outcomes are rational).  Monte Carlo mode averages n_samples draws
-    using streams derived from a seed frozen at construction, so the
-    returned map is itself deterministic.  It averages at one point, so
-    its sampler takes single points only.
-    """
-    if mode == "exact_enumeration":
-        if not k.finite_support:
-            raise EnumerationError("exact averaging requires finite support")
+    def mean(x):
+        return _convex_combination(k.enumerator(x))
 
-        def f(x):
-            return _convex_combination(k.enumerator(x))
-
-    elif mode == "monte_carlo":
-        if n_samples < 1:
-            raise ValueError("monte_carlo averaging needs n_samples >= 1")
-
-        def f(x):
-            return monte_carlo_mean(lambda s: np.asarray(k.sampler(x, s), dtype=float),
-                                    RandomStream(seed), n_samples)
-
-    else:
-        raise ValueError(f"unknown averaging mode {mode!r}")
-
-    return lift_deterministic(f, k.domain, k.codomain)
+    avg = lift_deterministic(mean, k.domain, k.codomain)
+    avg.sampler = lambda x, stream, n=None: mean(x) if n is None else [mean(xi) for xi in x]
+    return avg
 
 
 def _convex_combination(atoms):

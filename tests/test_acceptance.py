@@ -25,16 +25,13 @@ TestData::test_input_law_isotropic (the input law).
 
 import statistics
 import time
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from equisym import bench, checks
-from equisym.checks import janossy_setup
-from equisym.stochmap import RandomStream, enumerate_distribution
-from equisym.symcore import average, symmetrise
+from equisym.stochmap import RandomStream
 
 
 def _report(name, passed, detail):
@@ -83,21 +80,11 @@ def test_criterion_6_end_to_end_gradients():
 
 
 def test_criterion_7_jensen_bound_rational():
-    # scalar surrogate with loss |yhat/y - 1|: exact expectation of the MC
-    # objective vs loss of the exact averaged predictor, in rationals
-    spec, k = janossy_setup(2)
-    sym = symmetrise(k, spec)
-    x = (Fraction(3), Fraction(5))
-    y = Fraction(4)  # the invariant target for this surrogate
-    mc_expectation = sum(p * abs(yhat / y - 1)
-                         for p, yhat in enumerate_distribution(sym, x))
-    mean_map = average(sym, mode="exact_enumeration")
-    avg_loss = abs(mean_map.sampler(x, RandomStream(0)) / y - 1)
-    ok = (mc_expectation >= avg_loss
-          and mc_expectation == Fraction(1, 4)
-          and avg_loss == 0)
-    _report("criterion 7a: Jensen bound in exact rationals", ok,
-            f"E[loss]={mc_expectation} >= loss(E)={avg_loss}")
+    # scalar surrogate with loss |yhat/y - 1|: the exact expectation of the
+    # MC objective, 1/4, vs the loss of the exact averaged predictor, 0, in
+    # rationals; the check row asserts all three
+    result = checks.check_jensen_rational()
+    _report("criterion 7a: Jensen bound in exact rationals", result.passed, result.line())
 
 
 def test_criterion_7_jensen_bound_statistical():

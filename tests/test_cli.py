@@ -213,12 +213,12 @@ class TestCheckCommand:
     def test_symmetrise_suite_passes(self, capsys):
         assert cli.main(["check", "symmetrise"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 14
-        assert "14/14 checks passed" in out
+        assert out.count("[PASS]") == 15
+        assert "15/15 checks passed" in out
 
     @pytest.mark.parametrize("suite, n_rows, failing", [
         ("gradients", 3, ["end-to-end jensen gradient vs finite differences"]),
-        ("symmetrise", 14, [f"equivariance gap sym_recursive d={d}" for d in (2, 3)]),
+        ("symmetrise", 15, [f"equivariance gap sym_recursive d={d}" for d in (2, 3)]),
     ])
     def test_degenerate_gamma_fails_its_rows(self, degenerate_gamma, capsys, suite,
                                              n_rows, failing):
@@ -247,7 +247,7 @@ class TestCheckOutput:
     PINNED_SHA256 = {
         "groups": "e4c37eba53e855cd7a7574ba1ebd65af0737a9bf47ba21b3dbefbbd99e995035",
         "cosets": "ebc0304bef904ca27e770f6ea5678b1bb1b8330966e235ee05c38330f603abf2",
-        "symmetrise": "97e014206cc846b1008db26b5db9cf40c38f6c330f791b3001f3ca430887042d",
+        "symmetrise": "ace92812c1280379caa938dd5d95d293b8b3f1e054340157fc45628a42c87f37",
         "gradients": "612dd08e54997ff5b6530f6b73a3bf63f9a5a48eb7baf165dc26de5e68e826a9",
     }
 

@@ -12,7 +12,6 @@ from equisym.groups import (
     RejectionError,
     SingularityError,
     _haar_orthogonal,
-    direct_product,
     element_distance,
     general_linear_group,
     haar_sample,
@@ -27,6 +26,11 @@ from equisym.groups import (
     translation_group,
 )
 from equisym.stochmap import RandomStream
+
+
+def direct(G, H):
+    """G x H: the semidirect product with the trivial twist."""
+    return semidirect_product(G, H, rho=lambda h, n: n)
 
 
 def ks_pvalue(samples, cdf) -> float:
@@ -341,6 +345,15 @@ class TestPermutations:
             inv_s = perm_inverse(s)
             assert perm_apply(s, x) == tuple(x[inv_s[j]] for j in range(4))
 
+    def test_stack_moves_each_row_as_the_tuple_action(self):
+        # all of S_4 as one (24, 4) int stack acting on a (24, 4) point stack
+        perms = symmetric_group(4).elements
+        X = RandomStream(3).normal((len(perms), 4))
+        out = perm_apply(np.array(perms), X)
+        assert out.shape == X.shape and out.dtype == X.dtype
+        for s, x, y in zip(perms, X, out):
+            assert tuple(y) == perm_apply(s, tuple(x))
+
 
 class TestSemidirect:
     def test_se2_identity(self):
@@ -352,7 +365,7 @@ class TestSemidirect:
     def test_trivial_twist_is_direct_product(self):
         A = translation_group(2)
         B = orthogonal_group(2)
-        D = direct_product(A, B)
+        D = direct(A, B)
         s = RandomStream(3)
         g = D.random_element(s.split(0))
         h = D.random_element(s.split(1))
@@ -380,7 +393,7 @@ class TestSemidirect:
             assert np.linalg.norm(full - decomposed) <= 1e-9
 
     def test_finite_direct_product_lists_its_elements(self):
-        D = direct_product(symmetric_group(2), symmetric_group(3))
+        D = direct(symmetric_group(2), symmetric_group(3))
         assert len(D.elements) == 12 == len(set(D.elements))
         members = set(D.elements)
         assert all(D.mul(g, h) in members for g in D.elements for h in D.elements)
@@ -394,7 +407,7 @@ class TestSemidirect:
         assert np.array_equal(t, s.split(0).normal(shape + (2,)))
         assert np.array_equal(Q, orthogonal_group(2, special=True).haar(s.split(1), n))
         O2, S2 = orthogonal_group(2), symmetric_group(2)
-        R, p = direct_product(O2, S2).haar(s, n)
+        R, p = direct(O2, S2).haar(s, n)
         assert np.array_equal(R, O2.haar(s.split(0), n))
         assert np.array_equal(p, S2.haar(s.split(1), n))
 
@@ -403,7 +416,7 @@ class TestSemidirect:
         # standard deviation 0.005 and the swap frequency 0.0035, so the
         # bounds are 6 and 5.7 sigma: a Haar sampler fails with probability
         # below 1e-7
-        D = direct_product(orthogonal_group(2), symmetric_group(2))
+        D = direct(orthogonal_group(2), symmetric_group(2))
         n = 20000
         Q, p = D.haar(RandomStream(13), n)
         acc = Q.sum(axis=0)

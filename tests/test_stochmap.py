@@ -8,7 +8,6 @@ from equisym.stochmap import (
     CompositionError,
     EnumerationError,
     RandomStream,
-    ShapeError,
     Space,
     StochasticMap,
     compose,
@@ -18,17 +17,16 @@ from equisym.stochmap import (
     lift_deterministic,
     monte_carlo_mean,
     product,
-    sample,
 )
 
 R1 = Space("R")
-R2 = Space("R2", (2,))
+R2 = Space("R2")
 ANY = Space("any")
 
 
 def gaussian_map():
     return StochasticMap(domain=Space("unit"), codomain=R1,
-                         sampler=lambda x, stream: float(stream.normal()))
+                         sampler=lambda x, stream, n=None: float(stream.normal()))
 
 
 def derivation_cases():
@@ -56,13 +54,13 @@ def fair_coin(labels=("a", "b")):
 class TestSample:
     def test_identity_lift(self):
         k = lift_deterministic(lambda x: x, R2, R2)
-        out = sample(k, np.array([1.0, 2.0]), RandomStream(0))
+        out = k.sampler(np.array([1.0, 2.0]), RandomStream(0))
         assert np.array_equal(out, [1.0, 2.0])
 
     def test_constant_ignores_stream(self):
         k = lift_deterministic(lambda x: 7.0, ANY, R1)
-        assert sample(k, "whatever", RandomStream(3)) == 7.0
-        assert sample(k, "whatever", RandomStream(99)) == 7.0
+        assert k.sampler("whatever", RandomStream(3)) == 7.0
+        assert k.sampler("whatever", RandomStream(99)) == 7.0
 
     def test_gaussian_empirical_mean(self):
         k = gaussian_map()
@@ -70,20 +68,15 @@ class TestSample:
         draws = [k.sampler((), stream) for _ in range(10**5)]
         assert abs(np.mean(draws)) < 0.02
 
-    def test_shape_mismatch_rejected(self):
-        k = lift_deterministic(lambda x: x, R2, R2)
-        with pytest.raises(ShapeError):
-            sample(k, np.array([1.0, 2.0, 3.0]), RandomStream(0))
-
 
 class TestLiftDeterministic:
     def test_negate(self):
         k = lift_deterministic(lambda x: -x, R1, R1)
-        assert sample(k, 3.0, RandomStream(0)) == -3.0
+        assert k.sampler(3.0, RandomStream(0)) == -3.0
 
     def test_transpose(self):
-        k = lift_deterministic(lambda m: m.T, Space("M", (2, 2)), Space("M", (2, 2)))
-        out = sample(k, np.array([[1.0, 2.0], [3.0, 4.0]]), RandomStream(0))
+        k = lift_deterministic(lambda m: m.T, Space("M"), Space("M"))
+        out = k.sampler(np.array([[1.0, 2.0], [3.0, 4.0]]), RandomStream(0))
         assert np.array_equal(out, [[1.0, 3.0], [2.0, 4.0]])
 
     def test_enumeration_is_dirac(self):
@@ -93,14 +86,14 @@ class TestLiftDeterministic:
     def test_determinism_flag_holds(self):
         k = lift_deterministic(lambda x: x * 2, R1, R1)
         assert k.deterministic
-        assert sample(k, 5, RandomStream(1)) == sample(k, 5, RandomStream(2))
+        assert k.sampler(5, RandomStream(1)) == k.sampler(5, RandomStream(2))
 
 
 class TestCompose:
     def test_lifts_compose_as_functions(self):
         f = lift_deterministic(lambda x: x + 1, R1, R1)
         g = lift_deterministic(lambda x: x * 3, R1, R1)
-        assert sample(compose(g, f), 2, RandomStream(0)) == 9
+        assert compose(g, f).sampler(2, RandomStream(0)) == 9
 
     def test_noise_after_double_mean(self):
         # the mean of 10^5 draws of 2 + N(0, 1), one stack: the bound is
@@ -110,12 +103,6 @@ class TestCompose:
         draws = k.sampler(np.ones(n), RandomStream(7), n)
         assert draws.shape == (n,)
         assert abs(np.mean(draws) - 2.0) < 0.02
-
-    def test_two_argument_samplers_serve_single_draws(self):
-        noise = StochasticMap(domain=R1, codomain=R1,
-                              sampler=lambda x, s: x + float(s.normal()))
-        k = compose(noise, lift_deterministic(lambda x: 2.0 * x, R1, R1))
-        assert k.sampler(1.0, RandomStream(7)) == 2.0 + RandomStream(7).split(1).normal()
 
     def test_finite_multiply_and_merge(self):
         relabel = lift_deterministic(lambda v: "b", ANY, ANY)
@@ -145,14 +132,14 @@ class TestProduct:
     def test_pair_of_identities(self):
         k = lift_deterministic(lambda x: x, R1, R1)
         p = product(k, k)
-        assert sample(p, (3, 4), RandomStream(0)) == (3, 4)
+        assert p.sampler((3, 4), RandomStream(0)) == (3, 4)
 
     def test_equals_lift_of_pairwise_function(self):
         f = lift_deterministic(lambda x: x + 1, R1, R1)
         g = lift_deterministic(lambda x: x * 2, R1, R1)
         p = product(f, g)
         assert p.deterministic
-        assert sample(p, (1, 5), RandomStream(0)) == (2, 10)
+        assert p.sampler((1, 5), RandomStream(0)) == (2, 10)
 
     def test_two_fair_coins(self):
         p = product(fair_coin(), fair_coin())

@@ -1,7 +1,10 @@
+import types
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
+import equisym
 from equisym import checks
 from equisym.checks import janossy_setup
 from equisym.equivariance import (
@@ -30,6 +33,9 @@ from equisym.stochmap import (
     enumerate_distribution,
     finite_map,
     lift_deterministic,
+    monte_carlo_mean,
+    point_key,
+    product,
 )
 from equisym.symcore import (
     GammaNotEquivariantError,
@@ -54,8 +60,8 @@ def translation_canonicalisation():
     """T_1 acting on pairs of reals by a common shift; gamma is the mean."""
     T1 = translation_group(1)
     bundle = coset_bundle_trivial(T1)
-    x_space = Space("R^(1x2)", (1, 2))
-    y_space = Space("R1", (1,))
+    x_space = Space("R^(1x2)")
+    y_space = Space("R1")
     action_x = Action(group=T1, space=x_space, apply=lambda c, x: x + c[:, None])
     action_y = Action(group=T1, space=y_space, apply=lambda c, y: y + c)
     gamma = gamma_columnwise_mean(bundle, action_x)
@@ -113,7 +119,7 @@ class TestGammaVerification:
         self._spec(gamma, (np.array([[0.0, 2.0]]), np.array([[1.0, -3.0]])))
 
     def test_non_equivariant_gamma_rejected(self):
-        bad = lift_deterministic(lambda x: np.zeros(1), Space("R^(1x2)", (1, 2)),
+        bad = lift_deterministic(lambda x: np.zeros(1), Space("R^(1x2)"),
                                  Space("coset:T_1/I"))
         with pytest.raises(GammaNotEquivariantError):
             self._spec(bad, (np.array([[0.0, 2.0]]),))
@@ -135,7 +141,7 @@ class TestGammaVerification:
         # deterministic flag nor an enumerator takes the statistical check
         G = orthogonal_group(2)
         bundle = coset_bundle_trivial(G)
-        act = Action(group=G, space=Space("R^(2x5)", (2, 5)), apply=lambda Q, x: Q @ x)
+        act = Action(group=G, space=Space("R^(2x5)"), apply=lambda Q, x: Q @ x)
         points = tuple(RandomStream(3).split(i).normal((2, 5)) for i in range(3))
         return SymmetrisationSpec(bundle=bundle, action_x=act, action_y=act,
                                   gamma=gamma_for(bundle, act), test_points=points)
@@ -146,7 +152,7 @@ class TestGammaVerification:
     def test_constant_gamma_fails_statistical_check(self):
         def constant(bundle, act):
             return StochasticMap(domain=act.space, codomain=bundle.coset_space,
-                                 sampler=lambda x, s: np.eye(2))
+                                 sampler=lambda x, s, n=None: np.eye(2))
 
         with pytest.raises(GammaNotEquivariantError):
             self._rotation_spec(constant)
@@ -292,7 +298,34 @@ class TestStacks:
         assert np.array_equal(sym.sampler(xs, RandomStream(6), len(xs)),
                               Q @ (self.W @ (G.inv(Q) @ xs)))
 
+    def test_janossy_stack_rows(self):
+        # a (6, 3) stack of points: row 0 is the single draw at the tuple
+        # xs[0] on the same stream, and row i is coordinate P[i, 0] of point
+        # i, for the Haar stack P drawn from split(0)
+        spec, k = janossy_setup(3)
+        sym = symmetrise(k, spec)
+        xs = 10.0 * np.arange(18).reshape(6, 3)
+        ys = sym.sampler(xs, RandomStream(8), len(xs))
+        assert ys.shape == (6,)
+        assert ys[0] == sym.sampler(tuple(xs[0]), RandomStream(8))
+        P = spec.group.haar(RandomStream(8).split(0), len(xs))
+        assert np.array_equal(ys, xs[np.arange(6), P[:, 0]])
+
+    def test_stochastic_k_draws_its_stack_from_split_1(self):
+        # k = a fair choice of the first two coordinates: its stacked draw is
+        # k's n successive draws on split(1) at the un-acted points
+        spec, _ = janossy_setup(3)
+        half = Fraction(1, 2)
+        k = finite_map(lambda x: [(half, x[0]), (half, x[1])],
+                       spec.action_x.space, spec.action_y.space)
+        xs = 10.0 * np.arange(18).reshape(6, 3)
+        ys = symmetrise(k, spec).sampler(xs, RandomStream(8), len(xs))
+        P = spec.group.haar(RandomStream(8).split(0), len(xs))
+        x0 = perm_apply(perm_inverse(P), xs)
+        assert ys == k.sampler(x0, RandomStream(8).split(1), len(xs))
+
     def test_two_argument_haar_serves_single_draws(self):
+        # A_3's haar(stream, n=None) draws single elements only
         A3 = alternating_group_3()
         bundle = coset_bundle_trivial(A3)
         gamma = _haar_on(bundle, Action(group=A3, space=Space("tuple3"), apply=perm_apply))
@@ -332,7 +365,7 @@ class TestAverage:
     def test_exact_rational(self):
         spec, k = janossy_setup(2)
         sym = symmetrise(k, spec)
-        mean = average(sym, mode="exact_enumeration")
+        mean = average(sym)
         x = (Fraction(3), Fraction(5))
         assert mean.sampler(x, RandomStream(0)) == Fraction(4)
         assert mean.deterministic
@@ -340,37 +373,41 @@ class TestAverage:
     def test_exact_float_outcomes(self):
         third = Fraction(1, 3)
         k = finite_map(lambda x: [(third, 0.1 * x), (2 * third, 2.5)], Space("R"), Space("R"))
-        mean = average(k, mode="exact_enumeration")
+        mean = average(k)
         hand_sum = float(third) * (0.1 * 3.0) + float(2 * third) * 2.5
         assert mean.sampler(3.0, RandomStream(0)) == hand_sum
 
     def test_monte_carlo_converges(self):
+        # the Monte Carlo mean of 4000 symmetrised draws is near the exact
+        # average, 4
         spec, k = janossy_setup(2)
         sym = symmetrise(k, spec)
-        mean = average(sym, n_samples=4000, mode="monte_carlo", seed=5)
-        est = mean.sampler((3.0, 5.0), RandomStream(0))
-        assert abs(est - 4.0) < 0.05
+        x = (3.0, 5.0)
+        est = monte_carlo_mean(lambda s: sym.sampler(x, s), RandomStream(5), 4000)
+        assert abs(est - average(sym).sampler(x, RandomStream(0))) < 0.05
 
-    def test_monte_carlo_is_deterministic_map(self):
-        spec, k = janossy_setup(2)
-        sym = symmetrise(k, spec)
-        mean = average(sym, n_samples=16, mode="monte_carlo", seed=1)
-        a = mean.sampler((3.0, 5.0), RandomStream(0))
-        b = mean.sampler((3.0, 5.0), RandomStream(77))
-        assert a == b
+    def test_stacked_draw_is_one_expectation_per_point(self):
+        half = Fraction(1, 2)
+        k = finite_map(lambda x: [(half, x), (half, x + 1)], Space("R"), Space("R"))
+        mean = average(k)
+        xs = (0, 10, 20)
+        rows = mean.sampler(xs, RandomStream(0), len(xs))
+        assert rows == [0.5, 10.5, 20.5]
+        assert rows == [mean.sampler(x, RandomStream(0)) for x in xs]
 
     def test_exact_requires_finite_support(self):
         k = StochasticMap(domain=Space("R"), codomain=Space("R"),
-                          sampler=lambda x, s: x + float(s.normal()))
+                          sampler=lambda x, s, n=None: x + float(s.normal()))
         with pytest.raises(EnumerationError):
-            average(k, mode="exact_enumeration")
+            average(k)
 
     def test_invalid_arguments(self):
+        # average takes the map alone: it has no Monte Carlo mode or knobs
         k = lift_deterministic(lambda x: x, Space("R"), Space("R"))
-        with pytest.raises(ValueError):
-            average(k, n_samples=0, mode="monte_carlo")
-        with pytest.raises(ValueError):
-            average(k, mode="bogus")
+        with pytest.raises(TypeError):
+            average(k, n_samples=4)
+        with pytest.raises(TypeError):
+            average(k, mode="monte_carlo")
 
 
 class TestGammaRecursive:
@@ -424,7 +461,7 @@ def alternating_group_3():
         mul=perm_compose,
         inv=perm_inverse,
         identity=(0, 1, 2),
-        haar=lambda stream: evens[stream.choice_index(len(evens))],
+        haar=lambda stream, n=None: evens[stream.choice_index(len(evens))],  # single draws
         elements=evens,
     )
 
@@ -497,3 +534,66 @@ class TestComposeProcedures:
             gamma=_haar_on(wrong_bundle, wrong_ax))
         with pytest.raises(SpecError):
             compose_procedures(outer, wrong_inner)
+
+
+def _noise_map():
+    R = Space("R")
+    return StochasticMap(R, R, lambda x, s, n=None: x + s.normal(np.shape(x)))
+
+
+def _coin():
+    third = Fraction(1, 3)
+    return finite_map(lambda x: [(third, "a"), (2 * third, "b")], Space("R"), Space("R"))
+
+
+def _janossy_sym():
+    spec, k = janossy_setup(3)
+    return symmetrise(k, spec)
+
+
+def _trivial_o2_gamma():
+    act = Action(orthogonal_group(2), Space("R^(2x5)"), lambda Q, x: Q @ x)
+    return gamma_from_haar(coset_bundle_trivial(act.group), act)
+
+
+SAMPLER_BUILDERS = {
+    "lift_deterministic": (lambda: lift_deterministic(lambda x: 2.0 * x, Space("R"),
+                                                      Space("R")), 3.0),
+    "finite_map": (_coin, 1.0),
+    "compose": (lambda: compose(_noise_map(), lift_deterministic(
+        lambda x: 2.0 * x, Space("R"), Space("R"))), 1.0),
+    "product": (lambda: product(_noise_map(), _coin()), (1.0, 2.0)),
+    "symmetrise": (_janossy_sym, (1.0, 2.0, 3.0)),
+    "gamma_from_haar": (_trivial_o2_gamma, np.ones((2, 5))),
+    "gamma_columnwise_mean": (lambda: translation_canonicalisation()[0].gamma,
+                              np.array([[0.0, 2.0]])),
+    "average": (lambda: average(_janossy_sym()), (1.0, 2.0, 3.0)),
+}
+
+
+class TestSurface:
+    @pytest.mark.parametrize("builder", list(SAMPLER_BUILDERS))
+    def test_sampler_count_defaults_to_a_single_draw(self, builder):
+        # one signature, sampler(x, stream, n=None): passing n=None draws
+        # what the two-argument call draws, bit for bit
+        build, x = SAMPLER_BUILDERS[builder]
+        k = build()
+        for seed in range(5):
+            assert point_key(k.sampler(x, RandomStream(seed), None)) == point_key(
+                k.sampler(x, RandomStream(seed)))
+
+    def test_public_names_pinned(self):
+        # the package's public surface; a change to it shows up here
+        names = {n for n, v in vars(equisym).items()
+                 if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+        assert names == {
+            "RandomStream", "Space", "StochasticMap", "compose", "enumerate_distribution",
+            "lift_deterministic", "product",
+            "GroupDescriptor", "general_linear_group", "haar_sample", "orthogonal_group",
+            "semidirect_product", "special_euclidean_group", "symmetric_group",
+            "translation_group", "trivial_group",
+            "Action", "CosetBundle", "Homomorphism", "coset_bundle_orthogonal_in_gl",
+            "coset_bundle_semidirect", "coset_bundle_trivial",
+            "SymmetrisationSpec", "average", "compose_procedures", "gamma_columnwise_mean",
+            "gamma_from_haar", "symmetrise",
+        }
