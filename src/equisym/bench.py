@@ -21,22 +21,30 @@ _forward and _act without drawing again.
 
 Training minimizes the Jensen upper bound: one reparameterised draw per
 sample, loss l(y, yhat) = ||y^-1 yhat - I||_F, averaged over the batch.
+A step's batch and noise depend on the seed and the step index only, so
+train draws them for a chunk of TRAIN_CHUNK_ROWS batch rows at a time: each
+step from its own streams, with the chunk's condition caps tested as one
+stack and its Haar normals factored as one stack.  QR and the condition
+test work matrix by matrix and the rest is elementwise, so every row has
+the bytes it has when its step draws alone, at any chunk size.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import nn
-from .groups import REJECTION_LIMIT, RejectionError, _haar_orthogonal, sample_accepted
+from .groups import (REJECTION_LIMIT, RejectionError, _haar_from_normal, _normal_stack,
+                     sample_accepted)
 from .stochmap import RandomStream, monte_carlo_mean
 
 VARIANTS = ("plain_mlp", "sym_haar", "sym_recursive", "canonical_deterministic")
 SUMMARY_FIELDS = ("variant", "d", "final_loss", "equiv_gap", "seed", "diverged")
+TRAIN_CHUNK_ROWS = 4096  # batch rows of the training steps whose draws are stacked
 
 
 class ConfigurationError(ValueError):
@@ -80,16 +88,23 @@ class TrainConfig:
 # Data
 
 
-def _haar_batch(d: int, B: int, stream: RandomStream) -> np.ndarray:
-    """Stack of B Haar-distributed O(d) matrices."""
-    return _haar_orthogonal(d, stream, False, batch=(B,))
+def _haar_batch(d: int, B: int, streams: Sequence[RandomStream]) -> np.ndarray:
+    """A (len(streams), B, d, d) stack of Haar-distributed O(d) matrices,
+    row j from streams[j]; one QR and sign fix runs on the whole stack."""
+    return _haar_from_normal(_normal_stack(streams, (B, d, d)), False)
 
 
 def sample_batch(d: int, B: int, stream: RandomStream,
                  condition_cap: float = 1e4) -> np.ndarray:
     """B Gaussian matrices with cond <= cap; the targets are their inverses."""
+    return _sample_batches(d, B, [stream], condition_cap)[0]
+
+
+def _sample_batches(d: int, B: int, streams: Sequence[RandomStream],
+                    condition_cap: float) -> np.ndarray:
+    """sample_batch of each stream, as one (len(streams), B, d, d) stack."""
     try:
-        return sample_accepted(stream, B, d, lambda M: nn.cond_within(M, condition_cap))
+        return sample_accepted(streams, B, d, lambda M: nn.cond_within(M, condition_cap))
     except RejectionError:
         raise ConfigurationError(f"condition cap {condition_cap} rejected "
                                  f"{REJECTION_LIMIT} batches in a row") from None
@@ -133,17 +148,20 @@ class InversionModel:
 
     # -- reparameterised draw -----------------------------------------------
 
-    def _noise(self, B: int, stream: RandomStream, couple=None):
-        """Base draws of B rows: None for the deterministic variants, else
-        (C1, eta) with the Haar stack C1 from split(0), premultiplied by
-        couple when one is given, and sym_recursive's eta from split(1)."""
+    def _noise(self, B: int, streams: Sequence[RandomStream], couple=None) -> list:
+        """Base draws of B rows from each of the streams, in a list: None for
+        the deterministic variants, else (C1, eta) with the Haar stack C1
+        from split(0), premultiplied by couple when one is given, and
+        sym_recursive's eta from split(1).  The streams' Haar stacks are
+        one _haar_batch, and each C1 is a view of it."""
         if self.deterministic:
-            return None
-        C1 = _haar_batch(self.d, B, stream.split(0))
+            return [None] * len(streams)
+        C1s = _haar_batch(self.d, B, [s.split(0) for s in streams])
         if couple is not None:
-            C1 = couple @ C1
-        eta = stream.split(1).normal((B, self.d)) if self.variant == "sym_recursive" else None
-        return C1, eta
+            C1s = couple @ C1s
+        recursive = self.variant == "sym_recursive"
+        return [(C1, s.split(1).normal((B, self.d)) if recursive else None)
+                for C1, s in zip(C1s, streams)]
 
     def _draw_coset(self, pg, X, noise):
         """One gamma draw per batch row from the base draws noise; returns
@@ -204,7 +222,8 @@ class InversionModel:
         """
         if couple is not None:
             X = couple @ X
-        return self._forward(params, X, self._noise(len(X), stream, couple))[0]
+        noise, = self._noise(len(X), [stream], couple)
+        return self._forward(params, X, noise)[0]
 
     def predict(self, params, X, n_mc: int, stream: RandomStream) -> np.ndarray:
         """Averaged predictor: mean over n_mc draws (1 draw if deterministic)."""
@@ -215,12 +234,13 @@ class InversionModel:
 
     # -- forward + backward ----------------------------------------------
 
-    def objective_and_grads(self, params, X, stream: RandomStream):
-        """Jensen objective (one draw per sample) and exact parameter grads."""
+    def objective_and_grads(self, params, X, noise):
+        """Jensen objective (one draw per sample, at the base draws noise
+        from _noise) and exact parameter grads."""
         if len(X) == 0:
             raise ValueError("objective_and_grads needs a nonempty batch")
         B, d = X.shape[0], self.d
-        Yhat, cache = self._forward(params, X, self._noise(B, stream))
+        Yhat, cache = self._forward(params, X, noise)
 
         R = X @ Yhat - np.eye(d)  # the residual of _batch_losses
         losses = np.linalg.norm(R, axis=(1, 2))
@@ -265,23 +285,37 @@ class TrainResult:
 
 
 def train(config: TrainConfig) -> TrainResult:
-    """Fresh batch every step (no finite dataset); deterministic given seed."""
+    """Fresh batch every step (no finite dataset); deterministic given seed.
+
+    Step t draws its batch from steps.split(t).split(0) and its noise from
+    steps.split(t).split(1).  Neither depends on the parameters, so the
+    draws of a chunk of max(1, TRAIN_CHUNK_ROWS // batch_size) steps are
+    stacked before the chunk's steps run, with the bytes of step-by-step
+    draws.  A step whose condition cap cannot be met raises
+    ConfigurationError only when the loop reaches it.
+    """
     model = InversionModel(config.variant, config.d, config.hidden)
     root = RandomStream(config.seed)
     params, state = nn.adam_init(model.init(root.split(0)))
     history: List[Tuple[int, float]] = []
-    steps = root.split(1)
-    for step in range(config.steps):
-        s = steps.split(step)
-        X = sample_batch(config.d, config.batch_size, s.split(0), config.condition_cap)
+    steps, d, B = root.split(1), config.d, config.batch_size
+    chunk = max(1, TRAIN_CHUNK_ROWS // B)
+    for start in range(0, config.steps, chunk):
+        streams = [steps.split(t) for t in range(start, min(start + chunk, config.steps))]
         try:
-            objective, grads = model.objective_and_grads(params, X, s.split(1))
-            if not np.isfinite(objective) or objective > 1e6:
-                raise DivergenceError(f"objective {objective} at step {step + 1}")
-            nn.adam_step(grads, state, config.lr)  # updates params in place
-        except (DivergenceError, nn.GradientError, nn.DegenerateProjectionError):
-            return TrainResult(params, history, diverged=True)
-        history.append((step + 1, objective))
+            Xs = _sample_batches(d, B, [s.split(0) for s in streams], config.condition_cap)
+        except ConfigurationError:  # draw again step by step, to raise at the failing step
+            Xs = (sample_batch(d, B, s.split(0), config.condition_cap) for s in streams)
+        noises = model._noise(B, [s.split(1) for s in streams])
+        for step, (X, noise) in enumerate(zip(Xs, noises), start):
+            try:
+                objective, grads = model.objective_and_grads(params, X, noise)
+                if not np.isfinite(objective) or objective > 1e6:
+                    raise DivergenceError(f"objective {objective} at step {step + 1}")
+                nn.adam_step(grads, state, config.lr)  # updates params in place
+            except (DivergenceError, nn.GradientError, nn.DegenerateProjectionError):
+                return TrainResult(params, history, diverged=True)
+            history.append((step + 1, objective))
     return TrainResult(params, history)
 
 
@@ -310,7 +344,7 @@ def equivariance_gap(model: InversionModel, params, X: np.ndarray, Qs: np.ndarra
         raise ValueError("equivariance_gap requires every Q to be orthogonal")
     n = 1 if model.deterministic else n_mc
     Xr, Qr = np.repeat(X, n, axis=0), np.repeat(Qs, n, axis=0)
-    noise = model._noise(N * n, stream)
+    noise, = model._noise(N * n, [stream])
     coupled = None if noise is None else (Qr @ noise[0], noise[1])
     f1, f2 = (model._forward(params, x, z)[0].reshape(N, n, d, d).mean(axis=1)
               for x, z in ((Xr, noise), (Qr @ Xr, coupled)))
@@ -329,7 +363,7 @@ def evaluate(model: InversionModel, params, n_test: int, n_mc: int,
 
     gap_stream = stream.split(2)
     n_pairs = min(n_gap_pairs, n_test)
-    Qs = _haar_batch(model.d, n_pairs, gap_stream.split(0))
+    Qs = _haar_batch(model.d, n_pairs, [gap_stream.split(0)])[0]
     gaps = equivariance_gap(model, params, X[:n_pairs], Qs, gap_stream.split(1),
                             n_mc=min(n_mc, 16))
     return mean_loss, float(gaps.mean())

@@ -290,7 +290,7 @@ def check_model_gaps(dims=(2, 3), n_pairs: int = 100,
             stream = RandomStream(DEFAULT_SEED + d)
             params = model.init(stream.split(0))
             X = bench.sample_batch(d, n_pairs, stream.split(1))
-            Qs = bench._haar_batch(d, n_pairs, stream.split(2))
+            Qs = bench._haar_batch(d, n_pairs, [stream.split(2)])[0]
             try:
                 worst = float(bench.equivariance_gap(model, params, X, Qs, stream.split(3),
                                                      n_mc=4).max())
@@ -391,8 +391,8 @@ def check_end_to_end_gradients() -> CheckResult:
         return bench._batch_losses(X, Yhat).mean(axis=-1)
 
     try:
-        obj, grads = model.objective_and_grads(params, X, frozen)
-        noise = model._noise(len(X), frozen)
+        noise, = model._noise(len(X), [frozen])
+        obj, grads = model.objective_and_grads(params, X, noise)
         _, cache = model._forward(params, X, noise)
         pk, C = cache["pk"], cache["C"]
         fd = (finite_difference_grads(lambda p: objective(model._act(p, X, C)[0]), pk)

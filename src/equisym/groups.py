@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -110,19 +110,40 @@ def elements_close(g, h, tol: float = AXIOM_TOL) -> bool:
     return element_distance(g, h) <= tol
 
 
-def sample_accepted(stream: RandomStream, n: int, d: int, accept: Callable) -> np.ndarray:
-    """n Gaussian (d, d) matrices that pass accept, which maps a stack to one
-    bool per matrix; the shortfall is redrawn from the same stream."""
-    X = np.empty((n, d, d))
-    filled = empty_batches = 0
-    while filled < n:
-        cand = stream.normal((n - filled, d, d))
-        ok = cand[accept(cand)]
-        empty_batches = 0 if len(ok) else empty_batches + 1
-        if empty_batches == REJECTION_LIMIT:
-            raise RejectionError(f"rejected {REJECTION_LIMIT} batches in a row")
-        X[filled:filled + len(ok)] = ok
-        filled += len(ok)
+def _normal_stack(streams: Sequence[RandomStream], shape: tuple) -> np.ndarray:
+    """A (len(streams),) + shape stack of standard normals whose row j is
+    streams[j].normal(shape), drawn in place."""
+    out = np.empty((len(streams),) + shape)
+    for stream, row in zip(streams, out):
+        stream.normal(shape, out=row)
+    return out
+
+
+def sample_accepted(streams: Sequence[RandomStream], n: int, d: int,
+                    accept: Callable) -> np.ndarray:
+    """A (len(streams), n, d, d) stack of Gaussian matrices that pass accept,
+    which maps a stack to one bool per matrix.
+
+    Each stream's first n candidates are drawn into one stack and accept
+    runs once on all of them.  A stream's shortfall is redrawn from that
+    stream alone, so row j is what streams[j] gives when drawn by itself;
+    RejectionError is raised when REJECTION_LIMIT of one stream's batches in
+    a row accept nothing.  Streams are finished in order.
+    """
+    X = _normal_stack(streams, (n, d, d))
+    ok = accept(X.reshape(-1, d, d)).reshape(len(streams), n)
+    for j in np.flatnonzero(~ok.all(axis=1)):
+        kept, filled, empty_batches = X[j][ok[j]], 0, 0
+        while True:
+            empty_batches = 0 if len(kept) else empty_batches + 1
+            if empty_batches == REJECTION_LIMIT:
+                raise RejectionError(f"rejected {REJECTION_LIMIT} batches in a row")
+            X[j, filled:filled + len(kept)] = kept
+            filled += len(kept)
+            if filled == n:
+                break
+            cand = streams[j].normal((n - filled, d, d))
+            kept = cand[accept(cand)]
     return X
 
 
@@ -130,15 +151,22 @@ def sample_accepted(stream: RandomStream, n: int, d: int, accept: Callable) -> n
 # Matrix groups
 
 
-def _haar_orthogonal(d: int, stream: RandomStream, special: bool,
-                     batch: tuple = ()) -> np.ndarray:
-    """Haar on O(d), or SO(d) if special; a leading batch shape draws a stack
-    of independent samples."""
-    Q, R = np.linalg.qr(stream.normal(batch + (d, d)))
+def _haar_from_normal(G: np.ndarray, special: bool) -> np.ndarray:
+    """Haar samples on O(d), or SO(d) if special, from a stack of Gaussian
+    (d, d) matrices: QR with R's diagonal signs absorbed into Q.  Each
+    matrix is factored alone, so a row does not depend on the stack."""
+    Q, R = np.linalg.qr(G)
     Q = Q * np.copysign(1.0, R.diagonal(0, -2, -1))[..., None, :]
     if special:
         Q[..., :, 0] *= np.sign(np.linalg.det(Q))[..., None]
     return Q
+
+
+def _haar_orthogonal(d: int, stream: RandomStream, special: bool,
+                     batch: tuple = ()) -> np.ndarray:
+    """Haar on O(d), or SO(d) if special; a leading batch shape draws a stack
+    of independent samples."""
+    return _haar_from_normal(stream.normal(batch + (d, d)), special)
 
 
 def orthogonal_group(d: int, special: bool = False) -> GroupDescriptor:
@@ -171,8 +199,8 @@ def general_linear_group(d: int) -> GroupDescriptor:
         # Gaussian matrices kept where |det| > 1e-3 and cond < 1e3, which
         # keeps float round-off in axiom/coset checks well below the 1e-9
         # tolerance
-        X = sample_accepted(stream, 1 if n is None else n, d, lambda M: (
-            (np.abs(np.linalg.det(M)) > 1e-3) & (np.linalg.cond(M) < 1e3)))
+        X = sample_accepted([stream], 1 if n is None else n, d, lambda M: (
+            (np.abs(np.linalg.det(M)) > 1e-3) & (np.linalg.cond(M) < 1e3)))[0]
         return X[0] if n is None else X
 
     return GroupDescriptor(

@@ -285,14 +285,19 @@ def load_params(path: str) -> List[np.ndarray]:
         header = fh.readline().rstrip("\n")
         if header != CHECKPOINT_HEADER:
             raise ValueError(f"unrecognized checkpoint header {header!r}")
-        count = int(fh.readline())
+        count_line = fh.readline().strip()
+        if not count_line.isdecimal():
+            raise ValueError(f"malformed checkpoint: array count {count_line!r} is not an integer")
         out = []
-        for _ in range(count):
+        for i in range(int(count_line)):
             shape_line = fh.readline().split()
-            if shape_line[:1] != ["shape"]:
-                raise ValueError("malformed checkpoint: missing shape line")
+            if shape_line[:1] != ["shape"] or not all(s.isdecimal() for s in shape_line[1:]):
+                raise ValueError(f"malformed checkpoint: bad shape line of array {i}")
             shape = tuple(int(s) for s in shape_line[1:])
             vals = np.array([float(v) for v in fh.readline().split()])
+            if vals.size != np.prod(shape, dtype=int):
+                raise ValueError(f"malformed checkpoint: array {i} has {vals.size} values "
+                                 f"but shape {shape}")
             out.append(vals.reshape(shape))
         if fh.read():
             raise ValueError("malformed checkpoint: trailing data")

@@ -146,8 +146,9 @@ class RandomStream:
             raise ValueError("split tag must be nonnegative")
         return RandomStream(self.seed, self, int(tag))
 
-    def normal(self, shape=()) -> np.ndarray:
-        return self._gen.standard_normal(shape)
+    def normal(self, shape=(), out=None) -> np.ndarray:
+        """Standard normals of the given shape, written into out if given."""
+        return self._gen.standard_normal(shape, out=out)
 
     def uniform(self, shape=()) -> np.ndarray:
         return self._gen.random(shape)

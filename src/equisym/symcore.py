@@ -33,7 +33,6 @@ from .stochmap import (
     bind,
     distributions_equal,
     lift_deterministic,
-    monte_carlo_mean,
 )
 
 GAMMA_CHECK_SEED = 1234  # stream of the construction-time spot-check of gamma
@@ -96,23 +95,30 @@ def _verify_gamma(spec: "SymmetrisationSpec") -> None:
                 raise GammaNotEquivariantError(
                     f"finite-support gamma fails exact equivariance at test point {i}"
                 )
-        else:
-            sampler = spec.gamma.sampler
-            lhs = monte_carlo_mean(lambda s: _flatten_point(sampler(gx, s)),
-                                   stream.split(10_000 + i), 400)
-            rhs = monte_carlo_mean(lambda s: _flatten_point(act(g, sampler(x, s))),
-                                   stream.split(20_000 + i), 400)
+        else:  # one stacked draw of 400 per side
+            n, sampler = 400, spec.gamma.sampler
+            lhs = _mean_point(sampler(_repeat_point(gx, n), stream.split(10_000 + i), n))
+            rhs = _mean_point(act(g, sampler(_repeat_point(x, n), stream.split(20_000 + i), n)))
             if not elements_close(lhs, rhs, 0.25):
                 raise GammaNotEquivariantError(
                     f"gamma fails statistical equivariance check at test point {i}"
                 )
 
 
-def _flatten_point(c):
-    if isinstance(c, tuple):
-        parts = [np.asarray(p, dtype=float).ravel() for p in c]
+def _repeat_point(x, n: int):
+    """A stack of n copies of the point x; a pair point gives a pair of stacks."""
+    if isinstance(x, tuple):
+        return tuple(_repeat_point(p, n) for p in x)
+    return np.repeat(np.asarray(x)[None], n, axis=0)
+
+
+def _mean_point(stack) -> np.ndarray:
+    """The mean of a stack over its leading axis, flattened; a pair of stacks
+    gives its parts' means, concatenated."""
+    if isinstance(stack, tuple):
+        parts = [_mean_point(p) for p in stack]
         return np.concatenate(parts) if parts else np.zeros(0)
-    return np.asarray(c, dtype=float).ravel()
+    return np.asarray(stack, dtype=float).mean(axis=0).ravel()
 
 
 def symmetrise(k: StochasticMap, spec: SymmetrisationSpec) -> StochasticMap:

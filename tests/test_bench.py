@@ -69,7 +69,7 @@ class TestData:
         s = RandomStream(9)
         for d in (2, 3):
             X = bench.sample_batch(d, 200, s.split(d))
-            Qs = bench._haar_batch(d, 200, s.split(10 + d))
+            Qs = bench._haar_batch(d, 200, [s.split(10 + d)])[0]
             np.testing.assert_allclose(np.linalg.cond(Qs @ X), np.linalg.cond(X),
                                        rtol=1e-9, atol=0)
 
@@ -101,7 +101,7 @@ class TestData:
         assert hashlib.sha256(np.ascontiguousarray(X, dtype="<f8").tobytes()).hexdigest() == digest
 
     def test_haar_batch_orthogonal(self):
-        Qs = bench._haar_batch(3, 50, RandomStream(4))
+        Qs = bench._haar_batch(3, 50, [RandomStream(4)])[0]
         err = np.max(np.abs(np.transpose(Qs, (0, 2, 1)) @ Qs - np.eye(3)))
         assert err <= 1e-10
 
@@ -122,7 +122,7 @@ class TestLoss:
         X = bench.sample_batch(2, 1, s.split(0))
         Y = np.linalg.inv(X)
         yhat = s.split(1).normal((2, 2))
-        Q = bench._haar_batch(2, 1, s.split(2))[0]
+        Q = bench._haar_batch(2, 1, [s.split(2)])[0][0]
         lhs = loss(np.linalg.inv(Q @ X[0]), yhat @ Q.T)
         assert np.isclose(lhs, loss(Y[0], yhat))
 
@@ -173,10 +173,10 @@ class TestModel:
         m = bench.InversionModel(variant, d=d, hidden=8)
         params = m.init(RandomStream(0))
         X = bench.sample_batch(d, 5, RandomStream(1))
-        Q = bench._haar_batch(d, 5, RandomStream(2)) if coupled else None
+        Q = bench._haar_batch(d, 5, [RandomStream(2)])[0] if coupled else None
         s = RandomStream(3)
         X_acted = X if Q is None else Q @ X
-        expected = m._forward(params, X_acted, m._noise(len(X), s, Q))[0]
+        expected = m._forward(params, X_acted, m._noise(len(X), [s], Q)[0])[0]
         assert np.array_equal(m.draw(params, X, s, couple=Q), expected)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -188,7 +188,7 @@ class TestModel:
         rows = [m.init(RandomStream(seed)) for seed in range(3)]
         stacked = [np.stack(arrays) for arrays in zip(*rows)]
         X = bench.sample_batch(d, 5, RandomStream(10))
-        noise = m._noise(len(X), RandomStream(11))
+        noise, = m._noise(len(X), [RandomStream(11)])
         C = m._forward(rows[0], X, noise)[1]["C"]
         acted = m._act(stacked[:6], X, C)[0]
         forward = m._forward(stacked, X, noise)[0]
@@ -201,7 +201,7 @@ class TestModel:
         m = bench.InversionModel("sym_haar", d=2, hidden=8)
         params = m.init(RandomStream(0))
         X = bench.sample_batch(2, 4, RandomStream(1))
-        Q = bench._haar_batch(2, 1, RandomStream(2))[0]
+        Q = bench._haar_batch(2, 1, [RandomStream(2)])[0][0]
         coupled = m.draw(params, X, RandomStream(3), couple=Q)
         plain = m.draw(params, X, RandomStream(3))
         assert np.max(np.abs(coupled - plain @ Q.T)) <= 1e-12
@@ -210,7 +210,7 @@ class TestModel:
         m = bench.InversionModel("plain_mlp", d=2, hidden=8)
         params = m.init(RandomStream(0))
         X = bench.sample_batch(2, 1, RandomStream(1))
-        Q = bench._haar_batch(2, 1, RandomStream(2))[0]
+        Q = bench._haar_batch(2, 1, [RandomStream(2)])[0][0]
         gap = bench.equivariance_gap(m, params, X[:1], Q[None], RandomStream(3))
         assert gap > 1e-3
 
@@ -226,7 +226,7 @@ class TestModel:
         m = bench.InversionModel("sym_haar", d=2, hidden=8)
         params = m.init(RandomStream(0))
         X = bench.sample_batch(2, 5, RandomStream(1))
-        Qs = bench._haar_batch(2, 5, RandomStream(2))
+        Qs = bench._haar_batch(2, 5, [RandomStream(2)])[0]
         Qs[-1] = np.diag([2.0, 1.0])
         with pytest.raises(ValueError):
             bench.equivariance_gap(m, params, X, Qs, RandomStream(3))
@@ -236,7 +236,7 @@ class TestModel:
         m = bench.InversionModel(variant, d=2, hidden=8)
         params = m.init(RandomStream(0))
         X = bench.sample_batch(2, 6, RandomStream(1))
-        Qs = bench._haar_batch(2, 6, RandomStream(2))
+        Qs = bench._haar_batch(2, 6, [RandomStream(2)])[0]
         gaps = bench.equivariance_gap(m, params, X, Qs, RandomStream(3))
         assert gaps.shape == (6,)
         for i in range(6):
@@ -251,7 +251,7 @@ class TestModel:
         m = bench.InversionModel("sym_haar", d=2, hidden=8)
         params = m.init(RandomStream(0))
         X = bench.sample_batch(2, 3, RandomStream(1))
-        Qs = bench._haar_batch(2, 3, RandomStream(2))
+        Qs = bench._haar_batch(2, 3, [RandomStream(2)])[0]
         calls = []
         real_forward = m._forward
 
@@ -270,9 +270,9 @@ class TestModel:
         Qr = np.repeat(Qs, 4, axis=0)
         assert np.array_equal(X1, np.repeat(X, 4, axis=0))
         assert np.array_equal(X2, Qr @ X1)
-        assert np.array_equal(C1, m._noise(12, RandomStream(3))[0])
+        assert np.array_equal(C1, m._noise(12, [RandomStream(3)])[0][0])
         assert np.array_equal(C2, Qr @ C1)
-        assert np.array_equal(C2, m._noise(12, RandomStream(3), couple=Qr)[0])
+        assert np.array_equal(C2, m._noise(12, [RandomStream(3)], couple=Qr)[0][0])
         assert eta1 is None and eta2 is None
         draws = f1.reshape(3, 4, 2, 2)
         for i in range(3):
@@ -295,7 +295,7 @@ class TestModel:
         m = bench.InversionModel(variant, d=d, hidden=8)
         params = m.init(RandomStream(0))
         X = bench.sample_batch(d, 5, RandomStream(1))
-        Qs = bench._haar_batch(d, 5, RandomStream(2))
+        Qs = bench._haar_batch(d, 5, [RandomStream(2)])[0]
         n = 1 if m.deterministic else 4
         f1, f2 = (m.draw(params, np.repeat(X, n, axis=0), RandomStream(3), couple=c)
                   .reshape(5, n, d, d).mean(axis=1) for c in (None, np.repeat(Qs, n, axis=0)))
@@ -313,7 +313,7 @@ class TestModel:
         m = bench.InversionModel("sym_haar", d=2, hidden=8)
         params = m.init(RandomStream(0))
         X = bench.sample_batch(2, 5, RandomStream(1))
-        Qs = bench._haar_batch(2, 5, RandomStream(2))
+        Qs = bench._haar_batch(2, 5, [RandomStream(2)])[0]
         calls = []
         real_noise = m._noise
         m._noise = lambda *args, **kwargs: calls.append(args) or real_noise(*args, **kwargs)
@@ -394,7 +394,7 @@ class TestSymmetriseCombinator:
             X = bench.sample_batch(d, 128, RandomStream(1000 + seed))
             s = RandomStream(2000 + seed)
             assert np.array_equal(gamma.sampler(X, s),
-                                  model._draw_coset(pg, X, model._noise(len(X), s))[0])
+                                  model._draw_coset(pg, X, model._noise(len(X), [s])[0])[0])
 
 
 class TestGradients:
@@ -406,13 +406,13 @@ class TestGradients:
         stream = RandomStream(11)
         params = m.init(stream.split(0))
         X = bench.sample_batch(2, 3, stream.split(1))
-        frozen = stream.split(2)
+        noise, = m._noise(len(X), [stream.split(2)])
 
         def f(p):
-            obj, _ = m.objective_and_grads(p, X, frozen)
+            obj, _ = m.objective_and_grads(p, X, noise)
             return obj
 
-        obj, grads = m.objective_and_grads(params, X, frozen)
+        obj, grads = m.objective_and_grads(params, X, noise)
         fd = fd_reference(f, params)  # objective_and_grads takes no stacks
         worst = max(_relative_error(g, h) for g, h in zip(grads, fd))
         assert worst <= 1e-4
@@ -425,7 +425,7 @@ class TestGradients:
         m = bench.InversionModel("plain_mlp", d=2, hidden=4)
         params = m.init(RandomStream(0))
         with pytest.raises(ValueError):
-            m.objective_and_grads(params, np.zeros((0, 2, 2)), RandomStream(1))
+            m.objective_and_grads(params, np.zeros((0, 2, 2)), None)
 
     def test_nonfinite_loss_names_its_row(self):
         m = bench.InversionModel("plain_mlp", d=2, hidden=4)
@@ -433,7 +433,7 @@ class TestGradients:
         params[0][0, 0] = np.nan
         X = bench.sample_batch(2, 3, RandomStream(1))
         with pytest.raises(bench.DivergenceError, match="batch index 0"):
-            m.objective_and_grads(params, X, RandomStream(2))
+            m.objective_and_grads(params, X, None)
 
     @pytest.mark.parametrize("variant", bench.VARIANTS)
     def test_end_to_end_check_objective_is_the_training_objective(self, variant):
@@ -447,7 +447,7 @@ class TestGradients:
         params = m.init(stream.split(0))
         X = bench.sample_batch(2, 4, stream.split(1))
         frozen = stream.split(2)
-        noise = m._noise(len(X), frozen)
+        noise, = m._noise(len(X), [frozen])
         _, cache = m._forward(params, X, noise)
         pk, pg, C = cache["pk"], cache["pg"], cache["C"]
 
@@ -457,7 +457,7 @@ class TestGradients:
         moved_pk = [a + 1e-5 for a in pk]
         moved_pg = [a + 1e-5 for a in pg]
         for k, g in ((pk, pg), (moved_pk, pg), (pk, moved_pg), (moved_pk, moved_pg)):
-            expected = m.objective_and_grads(k + g, X, frozen)[0]
+            expected = m.objective_and_grads(k + g, X, noise)[0]
             assert loss(m._forward(k + g, X, noise)[0]) == expected
             assert loss(m.draw(k + g, X, frozen)) == expected
             if g is pg:  # the coset is fixed only while gamma's parameters are
@@ -528,7 +528,7 @@ class TestGradients:
         stream = RandomStream(checks.DEFAULT_SEED + d)
         params = m.init(stream.split(0))
         X = bench.sample_batch(d, 4, stream.split(1))
-        noise = m._noise(len(X), stream.split(2))
+        noise, = m._noise(len(X), [stream.split(2)])
         _, cache = m._forward(params, X, noise)
         pk, pg, C = cache["pk"], cache["pg"], cache["C"]
         fds = []
@@ -587,16 +587,17 @@ class TestGradients:
         assert counts["_act"] <= 12
 
     def test_gradients_suite_draws_the_noise_once(self, monkeypatch):
-        # the end-to-end check draws its noise once and objective_and_grads
-        # once: 2 Haar stacks, and 4 generators on top of the 12 that the
-        # suite's parameters, inputs and weights draw from; 481 Haar stacks
-        # and 974 generators when each evaluation drew afresh
+        # the end-to-end check draws its noise once and hands it to
+        # objective_and_grads: 1 Haar stack, and 2 generators on top of the
+        # 12 that the suite's parameters, inputs and weights draw from; 481
+        # Haar stacks and 974 generators when each evaluation drew afresh,
+        # and 2 and 16 when objective_and_grads drew its own
         counts = {}
         self.count_calls(monkeypatch, counts, bench, "_haar_batch")
         self.count_calls(monkeypatch, counts, np.random, "Philox")
         assert all(r.passed for r in checks.run_suite("gradients"))
-        assert counts["_haar_batch"] <= 2
-        assert counts["Philox"] <= 16
+        assert counts["_haar_batch"] <= 1
+        assert counts["Philox"] <= 14
 
 
 class TestTraining:
@@ -704,7 +705,7 @@ class TestTraining:
 
     def test_exploding_objective_is_divergence(self, monkeypatch):
         monkeypatch.setattr(bench.InversionModel, "objective_and_grads",
-                            lambda self, params, X, stream:
+                            lambda self, params, X, noise:
                             (2e6, [np.zeros_like(p) for p in params]))
         config = bench.TrainConfig(variant="plain_mlp", steps=5, hidden=8,
                                    batch_size=16, seed=0)
@@ -737,6 +738,149 @@ class TestTraining:
             assert key in summary
         assert summary["equiv_gap"] <= 1e-6
         assert np.isfinite(summary["final_loss"])
+
+
+def stream_path(stream):
+    """The split tags from the root to stream."""
+    tags = []
+    while stream._parent is not None:
+        tags.append(stream._tag)
+        stream = stream._parent
+    return tuple(reversed(tags))
+
+
+def params_digest(params):
+    digest = hashlib.sha256()
+    for p in params:
+        digest.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+class TestTrainingChunks:
+    """train draws the batches and noise of a chunk of
+    max(1, TRAIN_CHUNK_ROWS // batch_size) steps as stacks, each step from
+    its own streams: any chunk size trains the same bytes."""
+
+    @staticmethod
+    def run(monkeypatch, chunk_rows, **fields):
+        """bench.train, batch size 16, with TRAIN_CHUNK_ROWS = chunk_rows
+        (None: the default)."""
+        config = bench.TrainConfig(**{"hidden": 8, "batch_size": 16, "seed": 7, **fields})
+        with monkeypatch.context() as m:
+            if chunk_rows is not None:
+                m.setattr(bench, "TRAIN_CHUNK_ROWS", chunk_rows)
+            return bench.train(config)
+
+    @pytest.mark.parametrize("steps", [0, 20])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("variant", bench.VARIANTS)
+    def test_chunk_size_does_not_move_the_run(self, variant, d, steps, monkeypatch):
+        # chunks of 1 step (rows 16, and 8, below one batch), of 3 (20 is
+        # not a multiple), and the default (256 steps, one partial chunk)
+        runs = [self.run(monkeypatch, rows, variant=variant, d=d, steps=steps)
+                for rows in (16, 8, 48, None)]
+        assert bench.TRAIN_CHUNK_ROWS // 16 > steps
+        for result in runs:
+            assert not result.diverged
+            assert result.history == runs[0].history
+            assert params_digest(result.params) == params_digest(runs[0].params)
+        assert [t for t, _ in runs[0].history] == list(range(1, steps + 1))
+
+    @pytest.mark.parametrize("variant", ["plain_mlp", "sym_recursive"])
+    def test_shortfall_redraws_inside_a_chunk(self, variant, monkeypatch):
+        # at cap 3 most 2x2 Gaussian batches of 16 fall short; the chunk's
+        # first candidates are one accept call, and each redraw is smaller
+        # than a batch
+        real_cond_within = nn.cond_within
+        shapes = []
+
+        def spy(M, cap):
+            if cap == 3.0:
+                shapes.append(np.shape(M)[0])
+            return real_cond_within(M, cap)
+
+        monkeypatch.setattr(nn, "cond_within", spy)
+        chunked = self.run(monkeypatch, None, variant=variant, steps=20, condition_cap=3.0)
+        assert shapes[0] == 20 * 16
+        assert any(n < 16 for n in shapes[1:])
+        single = self.run(monkeypatch, 16, variant=variant, steps=20, condition_cap=3.0)
+        assert chunked.history == single.history
+        assert params_digest(chunked.params) == params_digest(single.params)
+
+    @staticmethod
+    def cap_fails_at_step(monkeypatch, step):
+        """Step `step`'s batch stream (root.split(1).split(step).split(0))
+        draws only singular matrices, so its condition cap is never met."""
+        real_normal = RandomStream.normal
+
+        def normal(self, shape=(), out=None):
+            x = real_normal(self, shape, out=out)
+            if stream_path(self) == (1, step, 0):
+                x[...] = 1.0
+            return x
+
+        monkeypatch.setattr(RandomStream, "normal", normal)
+
+    @staticmethod
+    def count_objectives(monkeypatch, explode_at=None):
+        """Count objective_and_grads calls; call explode_at returns 2e6."""
+        real = bench.InversionModel.objective_and_grads
+        calls = []
+
+        def objective_and_grads(self, params, X, noise):
+            calls.append(len(X))
+            obj, grads = real(self, params, X, noise)
+            return (2e6 if len(calls) == explode_at else obj), grads
+
+        monkeypatch.setattr(bench.InversionModel, "objective_and_grads", objective_and_grads)
+        return calls
+
+    @pytest.mark.parametrize("chunk_rows", [16, None])
+    def test_a_cap_failing_mid_chunk_raises_when_its_step_is_reached(self, chunk_rows,
+                                                                     monkeypatch):
+        self.cap_fails_at_step(monkeypatch, 5)
+        calls = self.count_objectives(monkeypatch)
+        with pytest.raises(bench.ConfigurationError, match="rejected 100 batches"):
+            self.run(monkeypatch, chunk_rows, variant="plain_mlp", steps=10)
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("chunk_rows", [16, None])
+    def test_divergence_before_a_failing_cap_is_divergence(self, chunk_rows, monkeypatch):
+        self.cap_fails_at_step(monkeypatch, 5)
+        calls = self.count_objectives(monkeypatch, explode_at=3)
+        result = self.run(monkeypatch, chunk_rows, variant="plain_mlp", steps=10)
+        assert result.diverged and len(result.history) == 2 and len(calls) == 3
+
+    @pytest.mark.parametrize("chunk_rows", [16, 48, None])
+    def test_divergence_mid_chunk(self, chunk_rows, monkeypatch):
+        # step 5 is inside the second chunk of 3 and the first default one
+        self.count_objectives(monkeypatch, explode_at=5)
+        result = self.run(monkeypatch, chunk_rows, variant="sym_haar", steps=10)
+        assert result.diverged
+        assert [t for t, _ in result.history] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("chunk_rows", [16, None])
+    def test_cap_no_batch_meets_raises(self, chunk_rows, monkeypatch):
+        with pytest.raises(bench.ConfigurationError, match="condition cap"):
+            self.run(monkeypatch, chunk_rows, variant="plain_mlp", steps=10,
+                     condition_cap=1 + 1e-12)
+
+    # np.random.Philox builds of the pinned 20-step run (d=2, B=16, seed 7),
+    # counted when each step drew alone: 3 for the parameters, and per step
+    # one for the batch, one for the Haar stack and one for sym_recursive's eta
+    PHILOX_BUILDS = {"plain_mlp": 23, "sym_haar": 43, "sym_recursive": 65,
+                     "canonical_deterministic": 23}
+
+    @pytest.mark.parametrize("variant", bench.VARIANTS)
+    def test_chunks_build_no_extra_generator(self, variant, monkeypatch):
+        real_philox = np.random.Philox
+        builds = []
+        monkeypatch.setattr(np.random, "Philox",
+                            lambda *a, **k: builds.append(1) or real_philox(*a, **k))
+        config = bench.TrainConfig(variant=variant, d=2, hidden=8, batch_size=16,
+                                   steps=20, seed=7)
+        assert not bench.train(config).diverged
+        assert len(builds) == self.PHILOX_BUILDS[variant]
 
 
 class TestEvaluate:

@@ -465,7 +465,7 @@ class TestRejectionSampler:
             return np.zeros(len(M), dtype=bool)
 
         with pytest.raises(RejectionError, match="rejected 100 batches in a row"):
-            sample_accepted(RandomStream(0), 5, 2, reject_all)
+            sample_accepted([RandomStream(0)], 5, 2, reject_all)
         assert REJECTION_LIMIT == 100 and batches == [5] * 100
 
     def test_an_accepted_row_restarts_the_count(self):
@@ -479,8 +479,38 @@ class TestRejectionSampler:
             return ok
 
         with pytest.raises(RejectionError):
-            sample_accepted(RandomStream(0), 5, 2, accept_one_in_batch_50)
+            sample_accepted([RandomStream(0)], 5, 2, accept_one_in_batch_50)
         assert batches == [5] * 50 + [4] * 100
+
+    @staticmethod
+    def cond_below_3(M):
+        # keeps about a third of 2x2 Gaussian matrices, so most batches redraw
+        return np.linalg.cond(M) <= 3.0
+
+    def test_each_stream_row_is_its_single_stream_result(self):
+        streams = [RandomStream(50).split(j) for j in range(6)]
+        calls = []
+        X = sample_accepted(streams, 8, 2, lambda M: calls.append(len(M)) or self.cond_below_3(M))
+        assert X.shape == (6, 8, 2, 2) and calls[0] == 6 * 8 and len(calls) > 6
+        for j in range(6):
+            alone = sample_accepted([RandomStream(50).split(j)], 8, 2, self.cond_below_3)
+            assert np.array_equal(X[j], alone[0])
+
+    def test_a_never_accepting_stream_counts_its_own_batches(self):
+        streams = [RandomStream(51).split(j) for j in range(3)]
+        draws = []
+        real_normal = streams[1].normal
+
+        def nan_normal(shape, out=None):  # every matrix of stream 1 is rejected
+            draws.append(shape)
+            x = real_normal(shape, out=out)
+            x[...] = np.nan
+            return x
+
+        streams[1].normal = nan_normal
+        with pytest.raises(RejectionError, match="rejected 100 batches in a row"):
+            sample_accepted(streams, 5, 2, lambda M: ~np.isnan(M).any(axis=(1, 2)))
+        assert draws == [(5, 2, 2)] * REJECTION_LIMIT
 
     def test_general_linear_stack_pinned(self):
         # SHA-256 (float64 little-endian) recorded before GL(d) shared this

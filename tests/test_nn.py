@@ -393,6 +393,36 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             nn.load_params(str(path))
 
+    def test_value_count_not_matching_the_shape_names_the_array(self, tmp_path):
+        path = tmp_path / "params.txt"
+        nn.save_params(str(path), [np.zeros(3), np.ones((2, 2))])
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5] = "1 1 1\n"  # array 1's values, three for shape (2, 2)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=r"^malformed checkpoint: array 1 has 3 values "
+                                             r"but shape \(2, 2\)$"):
+            nn.load_params(str(path))
+
+    @pytest.mark.parametrize("count", ["two", "-1", "1.5", ""])
+    def test_count_line_not_an_integer_rejected(self, tmp_path, count):
+        path = tmp_path / "params.txt"
+        nn.save_params(str(path), [np.zeros(3)])
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = count + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"^malformed checkpoint: array count '{count}' "
+                                             "is not an integer$"):
+            nn.load_params(str(path))
+
+    def test_shape_line_not_integers_names_the_array(self, tmp_path):
+        path = tmp_path / "params.txt"
+        nn.save_params(str(path), [np.zeros(3), np.ones((2, 2))])
+        lines = path.read_text().splitlines(keepends=True)
+        lines[4] = "shape 2 two\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="^malformed checkpoint: bad shape line of array 1$"):
+            nn.load_params(str(path))
+
     def test_trailing_data_rejected(self, tmp_path):
         path = tmp_path / "params.txt"
         nn.save_params(str(path), [np.ones((2, 2)), np.zeros(3)])

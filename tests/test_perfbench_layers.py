@@ -4,7 +4,7 @@ This installs the wrappers on the real library and undoes them."""
 
 from pathlib import Path
 
-from equisym import bench, checks, groups, nn, symcore
+from equisym import bench, checks, equivariance, groups, nn, stochmap, symcore
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -14,9 +14,21 @@ def test_install_wraps_every_name_and_restore_undoes_it(monkeypatch):
     import layers
     from tracer import Tracer
 
-    watched = [(bench, "train"), (bench, "_haar_batch"), (groups, "_haar_orthogonal"),
-               (symcore, "haar_sample"), (nn, "mlp_forward"), (checks, "symmetrise"),
-               (bench.InversionModel, "_draw_coset")]
+    model = bench.InversionModel
+    watched = [(bench, name) for name in ("train", "sample_batch", "_haar_batch",
+                                          "equivariance_gap")]
+    watched += [(model, name) for name in ("_draw_coset", "draw", "objective_and_grads")]
+    watched += [(nn, name) for name in ("mlp_forward", "mlp_backward", "gram_schmidt_forward",
+                                        "gram_schmidt_backward", "adam_step")]
+    watched += [(stochmap.RandomStream, name) for name in (
+        "__init__", "normal", "uniform", "integers", "permutation", "choice_index")]
+    watched += [(groups, "_haar_orthogonal"), (groups, "haar_sample"), (symcore, "haar_sample"),
+                (groups, "element_distance"), (checks, "element_distance"),
+                (stochmap, "enumerate_distribution"), (checks, "enumerate_distribution"),
+                (symcore, "symmetrise"), (checks, "symmetrise")]
+    watched += [(module, name) for module in (equivariance, checks)
+                for name in ("coset_bundle_trivial", "coset_bundle_orthogonal_in_gl",
+                             "coset_bundle_semidirect")]
     before = [vars(owner).get(attr) for owner, attr in watched]  # a missing name fails in install
     suites = dict(checks.SUITES)
 

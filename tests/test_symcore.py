@@ -16,6 +16,7 @@ from equisym.equivariance import (
 )
 from equisym.groups import (
     GroupDescriptor,
+    _haar_from_normal,
     orthogonal_group,
     perm_apply,
     perm_compose,
@@ -148,6 +149,22 @@ class TestGammaVerification:
 
     def test_haar_gamma_passes_statistical_check(self):
         self._rotation_spec(gamma_from_haar)
+
+    def test_equivariant_gamma_with_a_nonzero_mean_passes_statistical_check(self):
+        # gamma(x) = Q(x) diag(1, +-1) with Q(x) the sign-fixed QR factor of
+        # x's first two columns, so Q(g x) = g Q(x), and gamma's mean
+        # Q(x) diag(1, 0) moves with x: the check must compare the draws at
+        # g.x with g times the draws at x
+        def flip_gamma(bundle, act):
+            def sampler(x, s, n=None):
+                Q = _haar_from_normal(x[..., :2], False)
+                flips = np.where(s.uniform(Q.shape[:-1]) < 0.5, -1.0, 1.0)
+                flips[..., 0] = 1.0
+                return Q * flips[..., None, :]
+
+            return StochasticMap(domain=act.space, codomain=bundle.coset_space, sampler=sampler)
+
+        self._rotation_spec(flip_gamma)
 
     def test_constant_gamma_fails_statistical_check(self):
         def constant(bundle, act):
