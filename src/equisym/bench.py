@@ -22,11 +22,12 @@ _forward and _act without drawing again.
 Training minimizes the Jensen upper bound: one reparameterised draw per
 sample, loss l(y, yhat) = ||y^-1 yhat - I||_F, averaged over the batch.
 A step's batch and noise depend on the seed and the step index only, so
-train draws them for a chunk of TRAIN_CHUNK_ROWS batch rows at a time: each
+train draws them for a chunk of CHUNK_ROWS batch rows at a time: each
 step from its own streams, with the chunk's condition caps tested as one
-stack and its Haar normals factored as one stack.  QR and the condition
-test work matrix by matrix and the rest is elementwise, so every row has
-the bytes it has when its step draws alone, at any chunk size.
+stack and its Haar normals factored as one stack.  predict draws the noise
+of its Monte Carlo draws CHUNK_ROWS rows at a time in the same way.  QR and
+the condition test work matrix by matrix and the rest is elementwise, so
+every row has the bytes it has when it is drawn alone, at any chunk size.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .stochmap import RandomStream, monte_carlo_mean
 
 VARIANTS = ("plain_mlp", "sym_haar", "sym_recursive", "canonical_deterministic")
 SUMMARY_FIELDS = ("variant", "d", "final_loss", "equiv_gap", "seed", "diverged")
-TRAIN_CHUNK_ROWS = 4096  # batch rows of the training steps whose draws are stacked
+CHUNK_ROWS = 4096  # rows of the training steps or predict draws whose noise is stacked
 
 
 class ConfigurationError(ValueError):
@@ -226,11 +227,16 @@ class InversionModel:
         return self._forward(params, X, noise)[0]
 
     def predict(self, params, X, n_mc: int, stream: RandomStream) -> np.ndarray:
-        """Averaged predictor: mean over n_mc draws (1 draw if deterministic)."""
+        """Averaged predictor: the mean over n_mc draws (1 if deterministic)
+        of _forward at draw i's noise from stream.split(i), folded in order;
+        the noises of CHUNK_ROWS rows of draws are one _noise call."""
         if n_mc < 1:
             raise ValueError("predict needs n_mc >= 1")
         n = 1 if self.deterministic else n_mc
-        return monte_carlo_mean(lambda s: self.draw(params, X, s), stream, n)
+        chunk = max(1, CHUNK_ROWS // max(1, len(X)))
+        noises = (noise for start in range(0, n, chunk) for noise in self._noise(
+            len(X), [stream.split(i) for i in range(start, min(start + chunk, n))]))
+        return monte_carlo_mean(self._forward(params, X, noise)[0] for noise in noises)
 
     # -- forward + backward ----------------------------------------------
 
@@ -289,7 +295,7 @@ def train(config: TrainConfig) -> TrainResult:
 
     Step t draws its batch from steps.split(t).split(0) and its noise from
     steps.split(t).split(1).  Neither depends on the parameters, so the
-    draws of a chunk of max(1, TRAIN_CHUNK_ROWS // batch_size) steps are
+    draws of a chunk of max(1, CHUNK_ROWS // batch_size) steps are
     stacked before the chunk's steps run, with the bytes of step-by-step
     draws.  A step whose condition cap cannot be met raises
     ConfigurationError only when the loop reaches it.
@@ -299,7 +305,7 @@ def train(config: TrainConfig) -> TrainResult:
     params, state = nn.adam_init(model.init(root.split(0)))
     history: List[Tuple[int, float]] = []
     steps, d, B = root.split(1), config.d, config.batch_size
-    chunk = max(1, TRAIN_CHUNK_ROWS // B)
+    chunk = max(1, CHUNK_ROWS // B)
     for start in range(0, config.steps, chunk):
         streams = [steps.split(t) for t in range(start, min(start + chunk, config.steps))]
         try:

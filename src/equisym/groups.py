@@ -29,6 +29,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from . import nn
 from .stochmap import RandomStream
 
 AXIOM_TOL = 1e-9
@@ -154,11 +155,12 @@ def sample_accepted(streams: Sequence[RandomStream], n: int, d: int,
 def _haar_from_normal(G: np.ndarray, special: bool) -> np.ndarray:
     """Haar samples on O(d), or SO(d) if special, from a stack of Gaussian
     (d, d) matrices: QR with R's diagonal signs absorbed into Q.  Each
-    matrix is factored alone, so a row does not depend on the stack."""
+    matrix is factored alone, so a row does not depend on the stack.  The
+    SO(d) sign reads nn.det, exact in sign since |det Q| = 1 + O(u)."""
     Q, R = np.linalg.qr(G)
     Q = Q * np.copysign(1.0, R.diagonal(0, -2, -1))[..., None, :]
     if special:
-        Q[..., :, 0] *= np.sign(np.linalg.det(Q))[..., None]
+        Q[..., :, 0] *= np.sign(nn.det(Q))[..., None]
     return Q
 
 
@@ -198,9 +200,9 @@ def general_linear_group(d: int) -> GroupDescriptor:
     def grandom(stream, n=None):
         # Gaussian matrices kept where |det| > 1e-3 and cond < 1e3, which
         # keeps float round-off in axiom/coset checks well below the 1e-9
-        # tolerance
+        # tolerance; cond <= nextafter(1e3, 0) is exactly cond < 1e3
         X = sample_accepted([stream], 1 if n is None else n, d, lambda M: (
-            (np.abs(np.linalg.det(M)) > 1e-3) & (np.linalg.cond(M) < 1e3)))[0]
+            (np.abs(np.linalg.det(M)) > 1e-3) & nn.cond_within(M, np.nextafter(1e3, 0))))[0]
         return X[0] if n is None else X
 
     return GroupDescriptor(

@@ -95,6 +95,22 @@ def mlp_backward(params: List[np.ndarray], cache: dict, dout) -> Tuple[List[np.n
 DEGENERACY_CAP = 1e10  # cond above which Gram-Schmidt's columns count as dependent
 
 
+def det(M) -> np.ndarray:
+    """The determinant of each matrix of a (..., d, d) stack: by cofactors
+    for d <= 3, where LAPACK's per-matrix cost dominates (its rounding is
+    bounded in cond_within), and by np.linalg.det for d >= 4."""
+    m = np.moveaxis(np.asarray(M, dtype=float), (-2, -1), (0, 1))
+    if len(m) == 1:
+        return m[0, 0].copy()
+    if len(m) == 2:
+        (a, b), (c, e) = m
+        return a * e - b * c
+    if len(m) == 3:
+        (a, b, c), (p, q, r), (s, t, v) = m
+        return (a * (q * v - r * t) - b * (p * v - r * s)) + c * (p * t - q * s)
+    return np.linalg.det(M)
+
+
 def cond_within(M, cap: float) -> np.ndarray:
     """np.linalg.cond(M) <= cap for each matrix of a (..., d, d) stack,
     deciding most matrices without an SVD.
@@ -115,19 +131,25 @@ def cond_within(M, cap: float) -> np.ndarray:
       cond(N) is within 2 sqrt(d) u k of k;
     - the squares, the sum and the power give ||N||_F^d within
       (d^3 / 2 + 1) u;
-    - det comes from LU with partial pivoting, the exact factors of N + E
-      with ||E||_2 <= d^3 2^(d-1) u ||N||_2 (Higham, "Accuracy and
-      Stability of Numerical Algorithms", Thm 9.3, with growth factor at
-      most 2^(d-1)), so it is within d^4 2^(d-1) u k of det N;
-    - numpy forms det as sign * exp(sum ln|u_ii|), which adds at most
-      (d + 1) u sum |ln|u_ii||; every |u_ii| <= 2^(d-1) and their product
-      is |det N| >= 1 / b (as ||N||_F >= max|n_ij| = 1), so that sum is
-      at most ln b + 2 d^2 and the term at most (d + 1)(1 + 2 d^2) u b;
+    - det(N) is exact at d = 1, where N = +-1.  At d = 2 it is within
+      u (|ad| + |bc| + |det N|) <= u (b / 2 + 1) |det N|, as
+      |ad| + |bc| <= ||N||_F^2 / 2.  At d = 3 each of its six products meets
+      at most five roundings, so it is within gamma_5 perm(|N|) <=
+      5.01 u b |det N| (Higham, "Accuracy and Stability of Numerical
+      Algorithms", Sec. 3.1), as perm(|N|) <= prod_i ||n_i||_1 <=
+      3^(3/2) prod_i ||n_i||_2 <= ||N||_F^3 over N's rows n_i.  Underflow
+      adds under 2^-1070, and an accepted N has |det N| >= 16 c_d u > 2^-40;
+    - at d >= 4 det comes from LU with partial pivoting, the exact factors
+      of N + E with ||E||_2 <= d^3 2^(d-1) u ||N||_2 (Higham, Thm 9.3), so
+      within d^4 2^(d-1) u k of det N.  numpy forms it as
+      sign * exp(sum ln|u_ii|); as every |u_ii| <= 2^(d-1) and their product
+      is |det N| >= 1 / b, sum |ln|u_ii|| <= ln b + 2 d^2, which adds at most
+      (d + 1)(1 + 2 d^2) u b;
     - the division adds u, and the SVD returns singular values within
       p_d u sigma_1 of the exact ones (LAPACK's bound, taking p_d <= 8 d^2),
       so numpy's cond is at most k (1 + (16 d^2 + 1) u k).
-    These sum to at most half of c_d u b for every d >= 1 (133 u b of
-    576 u b at d = 2, 564 of 2952 at d = 3), and t <= 1/16 keeps the
+    These sum to at most half of c_d u b for every d >= 1 (76 u b of
+    576 u b at d = 2, 169 of 2952 at d = 3), and t <= 1/16 keeps the
     second-order terms below the other half.  So numpy's cond of an
     accepted matrix is at most b' (1 + t) <= cap.
     """
@@ -136,7 +158,7 @@ def cond_within(M, cap: float) -> np.ndarray:
     flat = M.reshape(-1, d, d)
     with np.errstate(all="ignore"):  # zero, inf and NaN rows fall through to the SVD
         N = flat / np.abs(flat).max(axis=(1, 2), keepdims=True)
-        bound = np.einsum("bij,bij->b", N, N) ** (d / 2) / np.abs(np.linalg.det(N))
+        bound = np.einsum("bij,bij->b", N, N) ** (d / 2) / np.abs(det(N))
         slack = (2.0**d * (d**4 + 32 * d**2) * 2.0**-53) * bound
         ok = (slack <= 1 / 16) & (bound * (1 + slack) <= cap)
     unsure = ~ok

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -191,13 +191,13 @@ class StochasticMap:
         return self.enumerator is not None
 
 
-def monte_carlo_mean(draw: Callable, stream: RandomStream, n: int):
-    """(1/n) sum_i draw(stream.split(i)), summed in order i = 0, ..., n - 1;
-    n must be at least 1."""
-    acc = None
-    for i in range(n):
-        y = draw(stream.split(i))
+def monte_carlo_mean(draws: Iterable):
+    """The mean of a nonempty iterable of draws, summed in the order given."""
+    acc, n = None, 0
+    for n, y in enumerate(draws, 1):
         acc = y if acc is None else acc + y
+    if n == 0:
+        raise ValueError("monte_carlo_mean needs at least one draw")
     return acc / n
 
 

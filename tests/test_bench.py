@@ -758,17 +758,17 @@ def params_digest(params):
 
 class TestTrainingChunks:
     """train draws the batches and noise of a chunk of
-    max(1, TRAIN_CHUNK_ROWS // batch_size) steps as stacks, each step from
+    max(1, CHUNK_ROWS // batch_size) steps as stacks, each step from
     its own streams: any chunk size trains the same bytes."""
 
     @staticmethod
     def run(monkeypatch, chunk_rows, **fields):
-        """bench.train, batch size 16, with TRAIN_CHUNK_ROWS = chunk_rows
+        """bench.train, batch size 16, with CHUNK_ROWS = chunk_rows
         (None: the default)."""
         config = bench.TrainConfig(**{"hidden": 8, "batch_size": 16, "seed": 7, **fields})
         with monkeypatch.context() as m:
             if chunk_rows is not None:
-                m.setattr(bench, "TRAIN_CHUNK_ROWS", chunk_rows)
+                m.setattr(bench, "CHUNK_ROWS", chunk_rows)
             return bench.train(config)
 
     @pytest.mark.parametrize("steps", [0, 20])
@@ -779,7 +779,7 @@ class TestTrainingChunks:
         # not a multiple), and the default (256 steps, one partial chunk)
         runs = [self.run(monkeypatch, rows, variant=variant, d=d, steps=steps)
                 for rows in (16, 8, 48, None)]
-        assert bench.TRAIN_CHUNK_ROWS // 16 > steps
+        assert bench.CHUNK_ROWS // 16 > steps
         for result in runs:
             assert not result.diverged
             assert result.history == runs[0].history
@@ -881,6 +881,42 @@ class TestTrainingChunks:
                                    steps=20, seed=7)
         assert not bench.train(config).diverged
         assert len(builds) == self.PHILOX_BUILDS[variant]
+
+
+class TestPredictChunks:
+    """predict draws the noise of max(1, CHUNK_ROWS // len(X)) draws as one
+    _noise call, draw i from stream.split(i): any chunk size gives the
+    bytes of the per-draw fold."""
+
+    N_TEST = 5
+
+    @staticmethod
+    def per_draw_reference(model, params, X, n_mc, stream):
+        """_forward at each draw's own noise, summed in order, over n."""
+        n = 1 if model.deterministic else n_mc
+        acc = None
+        for i in range(n):
+            noise, = model._noise(len(X), [stream.split(i)])
+            y = model._forward(params, X, noise)[0]
+            acc = y if acc is None else acc + y
+        return acc / n
+
+    @pytest.mark.parametrize("n_mc", [1, 7, 100])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("variant", bench.VARIANTS)
+    def test_chunk_size_does_not_move_predict(self, variant, d, n_mc, monkeypatch):
+        model = bench.InversionModel(variant, d, hidden=8)
+        params = model.init(RandomStream(0))
+        X = bench.sample_batch(d, self.N_TEST, RandomStream(1))
+        expected = self.per_draw_reference(model, params, X, n_mc, RandomStream(2))
+        # chunks of 1 draw, of 3 (no n_mc above 1 is a multiple), and the
+        # default (819 draws, one partial chunk)
+        assert bench.CHUNK_ROWS // self.N_TEST > 100
+        for rows in (1, 3 * self.N_TEST, bench.CHUNK_ROWS):
+            with monkeypatch.context() as m:
+                m.setattr(bench, "CHUNK_ROWS", rows)
+                got = model.predict(params, X, n_mc, RandomStream(2))
+            assert np.array_equal(got, expected)
 
 
 class TestEvaluate:

@@ -11,6 +11,7 @@ from equisym.groups import (
     NoHaarError,
     RejectionError,
     SingularityError,
+    _haar_from_normal,
     _haar_orthogonal,
     element_distance,
     general_linear_group,
@@ -176,6 +177,18 @@ class TestHaar:
             assert np.array_equal(single, _haar_orthogonal(d, RandomStream(d), True,
                                                             batch=(1,))[0])
         assert flipped > 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_special_sign_is_lapacks(self, d):
+        # the SO(d) sign fix reads the closed-form det for d <= 3; a
+        # reference reading LAPACK's det flips the same columns
+        G = RandomStream(60 + d).normal((10**5, d, d))
+        Q, R = np.linalg.qr(G)
+        Q = Q * np.copysign(1.0, R.diagonal(0, -2, -1))[..., None, :]
+        Q[..., :, 0] *= np.sign(np.linalg.det(Q))[..., None]
+        special = _haar_from_normal(G, True)
+        assert np.array_equal(special, Q)
+        assert np.all(np.abs(np.linalg.det(special) - 1) <= 1e-12)
 
     # The two laws below test the distribution itself, which the formula
     # tests above do not: a sampler that dropped the QR sign fix would still

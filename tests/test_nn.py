@@ -267,6 +267,38 @@ class TestCondWithin:
         with pytest.raises(np.linalg.LinAlgError):
             nn.cond_within(M, 1e4)
 
+    def test_one_by_one_and_infinite_rows(self):
+        M = RandomStream(6).normal((6, 1, 1))
+        M[1], M[2], M[3] = 0.0, np.inf, -np.inf
+        for cap in (1.0, 1e4):
+            self.assert_matches_svd(M, cap)
+        M = RandomStream(7).normal((6, 3, 3))
+        M[1, 0, 2], M[2, 1], M[3] = np.inf, -np.inf, np.inf
+        for cap in (1e4, 1e300):
+            self.assert_matches_svd(M, cap)
+        assert not nn.cond_within(M[1:4], 1e300).any()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_strict_cap_of_general_linear_sampling(self, d):
+        # GL(d) keeps cond < 1e3 as cond <= nextafter(1e3, 0)
+        conds = 1e3 * np.repeat([1 - 1e-6, 1 + 1e-6], 2000)
+        M = with_conds(d, conds, RandomStream(30 + d))
+        ok = nn.cond_within(M, np.nextafter(1e3, 0))
+        np.testing.assert_array_equal(ok, np.linalg.cond(M) < 1e3)
+        assert ok[:2000].mean() > 0.5 and ok[2000:].mean() < 0.5  # both sides occur
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_closed_form_det_moves_no_decision(self, d):
+        # the cofactor det differs from LAPACK's in the last bits, inside
+        # the slack that cond_within leaves for it
+        M = with_conds(d, 1e4 * np.repeat([1 - 1e-6, 1 + 1e-6], 2000), RandomStream(40 + d))
+        N = M / np.abs(M).max(axis=(1, 2), keepdims=True)
+        closed, lapack = nn.det(N), np.linalg.det(N)
+        assert np.any(closed != lapack)
+        assert np.all(np.abs(closed - lapack) <= 1e-9 * np.abs(lapack))
+        for cap in (1e4, 1e10):
+            self.assert_matches_svd(M, cap)
+
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 4), log_cap=st.floats(0, 12),
            log_scale=st.floats(-150, 150), rel=st.floats(-1e-5, 1e-5),

@@ -244,10 +244,13 @@ class TestEnumerate:
 class TestMonteCarloMean:
     def test_sums_draws_in_split_order(self):
         # the same bytes as the hand fold, so callers keep their outputs
-        draw = lambda s: s.normal(64)
-        stream = RandomStream(3)
-        expected = (draw(stream.split(0)) + draw(stream.split(1)) + draw(stream.split(2))) / 3
-        assert np.array_equal(monte_carlo_mean(draw, stream, 3), expected)
+        draws = [RandomStream(3).split(i).normal(64) for i in range(3)]
+        expected = (draws[0] + draws[1] + draws[2]) / 3
+        assert np.array_equal(monte_carlo_mean(iter(draws)), expected)
+
+    def test_no_draws(self):
+        with pytest.raises(ValueError, match="at least one draw"):
+            monte_carlo_mean(iter(()))
 
 
 class TestStreams:

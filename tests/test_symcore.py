@@ -400,7 +400,8 @@ class TestAverage:
         spec, k = janossy_setup(2)
         sym = symmetrise(k, spec)
         x = (3.0, 5.0)
-        est = monte_carlo_mean(lambda s: sym.sampler(x, s), RandomStream(5), 4000)
+        stream = RandomStream(5)
+        est = monte_carlo_mean(sym.sampler(x, stream.split(i)) for i in range(4000))
         assert abs(est - average(sym).sampler(x, RandomStream(0))) < 0.05
 
     def test_stacked_draw_is_one_expectation_per_point(self):
