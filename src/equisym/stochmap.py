@@ -14,6 +14,7 @@ distributional identities with zero tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -27,7 +28,10 @@ class CompositionError(TypeError):
 
 
 class EnumerationError(ValueError):
-    """Exact enumeration requested on a map without finite support."""
+    """Exact enumeration of a map without finite support, or of an invalid law."""
+
+
+_ONE = Fraction(1)
 
 
 # numpy SeedSequence's hash constants (numpy/random/bit_generator.pyx)
@@ -206,7 +210,7 @@ def lift_deterministic(f: Callable, domain: Space, codomain: Space) -> Stochasti
     a stacked draw passes the stack to f."""
 
     def enum(x):
-        return [(Fraction(1), f(x))]
+        return [(_ONE, f(x))]
 
     return StochasticMap(
         domain=domain,
@@ -222,10 +226,18 @@ def finite_map(outcomes: Callable, domain: Space, codomain: Space) -> Stochastic
 
     outcomes(x) must return a list of (Fraction probability, point) whose
     probabilities sum to 1; a point may repeat, and the enumerator merges
-    repeats.  The sampler draws by inverse CDF on a single uniform variate
-    over the list as given; a stacked draw takes a sequence of n points and
-    returns the list of n successive draws on the one stream.
+    repeats; the sampler and the enumerator raise EnumerationError naming an
+    atom whose probability is not rational.  The sampler draws by inverse CDF
+    on a single uniform variate over the list as given; a stacked draw takes
+    a sequence of n points and returns n successive draws on the one stream.
     """
+
+    def rational(x):
+        atoms = outcomes(x)
+        for p, y in atoms:
+            if not isinstance(p, numbers.Rational):
+                raise EnumerationError(f"probability {p!r} of outcome {y!r} is not rational")
+        return atoms
 
     def sampler(x, stream: RandomStream, n: Optional[int] = None):
         if n is not None:
@@ -234,7 +246,7 @@ def finite_map(outcomes: Callable, domain: Space, codomain: Space) -> Stochastic
 
     def draw_one(x, stream: RandomStream):
         # u = i/d < p_1 + ... + p_j exactly when i < (p_1 + ... + p_j) d
-        atoms = outcomes(x)
+        atoms = rational(x)
         d = math.lcm(*(p.denominator for p, _ in atoms))
         i = stream.choice_index(d)
         acc = 0
@@ -245,7 +257,7 @@ def finite_map(outcomes: Callable, domain: Space, codomain: Space) -> Stochastic
         return atoms[-1][1]
 
     return StochasticMap(domain=domain, codomain=codomain, sampler=sampler,
-                         enumerator=lambda x: merge_atoms(outcomes(x)))
+                         enumerator=lambda x: merge_atoms(rational(x)))
 
 
 def compose(m: StochasticMap, k: StochasticMap) -> StochasticMap:
@@ -305,8 +317,10 @@ def product(k: StochasticMap, m: StochasticMap) -> StochasticMap:
 
 def bind(atoms, f):
     """Exact law of z for y ~ atoms and z ~ f(y), duplicates merged; atoms
-    and f(y) are lists of (Fraction, point)."""
-    return merge_atoms([(p * q, z) for p, y in atoms for q, z in f(y)])
+    and f(y) are lists of (Fraction, point).  Each point's probability is
+    summed in integers and becomes one Fraction."""
+    return _sum_points([(p.numerator * q.numerator, p.denominator * q.denominator, z)
+                        for p, y in atoms for q, z in f(y)])
 
 
 def point_key(y):
@@ -319,31 +333,40 @@ def point_key(y):
 
 
 def merge_atoms(atoms):
-    """Merge duplicate points, summing exact rational probabilities."""
+    """Merge duplicate points, each one's probability summed in integers."""
+    return _sum_points([(p.numerator, p.denominator, y) for p, y in atoms])
+
+
+def _sum_points(terms):
+    """[(Fraction, y)] from (numerator, denominator, y) terms, each point's
+    summed over the lcm of its denominators; first y, first-appearance order."""
     merged: dict = {}
-    for p, y in atoms:
-        kkey = point_key(y)
-        if kkey in merged:
-            merged[kkey] = (merged[kkey][0] + p, merged[kkey][1])
-        else:
-            merged[kkey] = (p, y)
-    return list(merged.values())
+    for n, d, y in terms:
+        key = point_key(y)
+        if key in merged:
+            m, e, y = merged[key]
+            lcm = math.lcm(d, e)
+            n, d = m * (lcm // e) + n * (lcm // d), lcm
+        merged[key] = (n, d, y)
+    return [(Fraction(n, d), y) for n, d, y in merged.values()]
 
 
 def enumerate_distribution(k: StochasticMap, x):
     """Exact outcome list [(Fraction, point)], each point once.
 
     Enumerators return merged atoms (bind and finite_map merge them); this
-    checks that the probabilities are nonnegative and sum to 1 exactly, and
-    raises EnumerationError if they do not or if k carries no enumerator.
+    checks, on the numerators over the lcm of the denominators, that the
+    probabilities are nonnegative and sum to 1 exactly, and raises
+    EnumerationError if they do not or if k carries no enumerator.
     """
     if not k.finite_support:
         raise EnumerationError("map has no finite-support enumerator")
     atoms = k.enumerator(x)
-    total = sum(p for p, _ in atoms)
-    if total != 1:
-        raise EnumerationError(f"enumerated probabilities sum to {total}, not 1")
-    if any(p < 0 for p, _ in atoms):
+    d = math.lcm(*(p.denominator for p, _ in atoms))
+    nums = [p.numerator * (d // p.denominator) for p, _ in atoms]
+    if sum(nums) != d:
+        raise EnumerationError(f"enumerated probabilities sum to {Fraction(sum(nums), d)}, not 1")
+    if any(n < 0 for n in nums):
         raise EnumerationError("negative probability in enumerator")
     return atoms
 

@@ -16,6 +16,7 @@ from equisym.stochmap import (
     finite_map,
     lift_deterministic,
     monte_carlo_mean,
+    point_key,
     product,
 )
 
@@ -223,10 +224,63 @@ class TestEnumerate:
         with pytest.raises(EnumerationError):
             enumerate_distribution(gaussian_map(), ())
 
+    @staticmethod
+    def reference_law(atoms):
+        """Merge duplicate points Fraction by Fraction, first y of each kept."""
+        merged = {}
+        for p, y in atoms:
+            q, y0 = merged.get(point_key(y), (Fraction(0), y))
+            merged[point_key(y)] = (q + p, y0)
+        return list(merged.values())
+
     def test_finite_map_merges_repeated_outcomes(self):
         third = Fraction(1, 3)
         k = finite_map(lambda x: [(third, "a"), (third, "b"), (third, "a")], ANY, ANY)
         assert enumerate_distribution(k, None) == [(2 * third, "a"), (third, "b")]
+        # the integer sums against the Fraction fold: unequal denominators,
+        # repeated array points, and a compose whose second kernel has
+        # non-unit weights
+        F = Fraction
+        mixed = [(F(1, 6), "a"), (F(1, 4), "b"), (F(1, 3), "c"), (F(1, 12), "a"), (F(1, 6), "b")]
+        arrays = [(F(1, 6), np.array([1.0, 2.0])), (F(1, 4), np.zeros(2)),
+                  (F(1, 3), np.array([1.0, 2.0])), (F(1, 4), np.zeros(2))]
+        weights = {"a": [(F(2, 5), "a"), (F(3, 5), "z")], "b": [(F(1, 7), "z"), (F(6, 7), "b")],
+                   "c": [(F(1, 2), "a"), (F(1, 3), "c"), (F(1, 6), "z")]}
+        second = finite_map(lambda y: weights[y], ANY, ANY)
+        cases = [(finite_map(lambda x: mixed, ANY, ANY), self.reference_law(mixed)),
+                 (finite_map(lambda x: arrays, ANY, ANY), self.reference_law(arrays)),
+                 (compose(second, finite_map(lambda x: mixed, ANY, ANY)),
+                  self.reference_law([(p * q, z) for p, y in mixed for q, z in weights[y]]))]
+        for k, expected in cases:
+            atoms = enumerate_distribution(k, None)
+            assert [p for p, _ in atoms] == [p for p, _ in expected]
+            assert all(type(p) is Fraction for p, _ in atoms)
+            assert [point_key(y) for _, y in atoms] == [point_key(y) for _, y in expected]
+        assert [p for p, _ in cases[0][1]] == [F(1, 4), F(5, 12), F(1, 3)]
+
+    def test_total_other_than_one_is_an_error(self):
+        k = StochasticMap(domain=ANY, codomain=ANY, sampler=None,
+                          enumerator=lambda x: [(Fraction(1, 2), "a"), (Fraction(1, 3), "b")])
+        with pytest.raises(EnumerationError, match="sum to 5/6, not 1"):
+            enumerate_distribution(k, None)
+
+    def test_negative_probability_is_an_error(self):
+        k = StochasticMap(domain=ANY, codomain=ANY, sampler=None,
+                          enumerator=lambda x: [(Fraction(3, 2), "a"), (Fraction(-1, 2), "b")])
+        with pytest.raises(EnumerationError, match="negative probability"):
+            enumerate_distribution(k, None)
+
+    def test_float_probability_is_an_error_when_enumerated(self):
+        k = finite_map(lambda x: [(0.5, "a"), (0.5, "b")], ANY, ANY)
+        with pytest.raises(EnumerationError, match="probability 0.5 of outcome 'a'"):
+            enumerate_distribution(k, None)
+
+    def test_float_probability_is_an_error_when_drawn(self):
+        k = finite_map(lambda x: [(Fraction(1, 2), "a"), (0.5, "b")], ANY, ANY)
+        with pytest.raises(EnumerationError, match="probability 0.5 of outcome 'b'"):
+            k.sampler(None, RandomStream(0))
+        with pytest.raises(EnumerationError, match="not rational"):
+            k.sampler([None, None], RandomStream(0), 2)
 
     def test_finite_map_merges_repeated_array_outcomes(self):
         quarter = Fraction(1, 4)

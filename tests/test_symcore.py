@@ -215,6 +215,24 @@ class TestEnumeratorPropagation:
         assert distributions_equal(atoms, [(Fraction(2, 3), 7.0),
                                            (Fraction(1, 3), 1.0)])
 
+    def test_janossy_s4_builds_one_fraction_per_point(self, monkeypatch):
+        # the 24 atoms are summed in integers: one Fraction per distinct
+        # output, and no Fraction arithmetic
+        spec, k = janossy_setup(4)
+        sym = symmetrise(k, spec)
+        calls = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__",
+                            lambda cls, *a, **kw: calls.append("new") or new(cls, *a, **kw))
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            op = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name,
+                                lambda a, b, op=op, name=name: calls.append(name) or op(a, b))
+        atoms = enumerate_distribution(sym, (1.0, 2.0, 3.0, 4.0))
+        monkeypatch.undo()
+        assert calls == ["new"] * 4
+        assert atoms == [(Fraction(1, 4), y) for y in (1.0, 2.0, 3.0, 4.0)]
+
 
 class TestCheckFailBranches:
     """Negative controls: each exact symmetrisation check reports FAIL when
