@@ -115,7 +115,7 @@ def _batch_losses(X: np.ndarray, Yhat: np.ndarray) -> np.ndarray:
     """Losses for a batch of inputs X, whose targets y = X^-1 give y^-1 = X."""
     d = X.shape[-1]
     R = X @ Yhat - np.eye(d)
-    return np.linalg.norm(R, axis=(-2, -1))
+    return nn.norm(R, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +249,7 @@ class InversionModel:
         Yhat, cache = self._forward(params, X, noise)
 
         R = X @ Yhat - np.eye(d)  # the residual of _batch_losses
-        losses = np.linalg.norm(R, axis=(1, 2))
+        losses = nn.norm(R, 2)
         if not np.all(np.isfinite(losses)):
             bad = int(np.argmax(~np.isfinite(losses)))
             raise DivergenceError(f"non-finite loss at batch index {bad}")
@@ -346,7 +346,7 @@ def equivariance_gap(model: InversionModel, params, X: np.ndarray, Qs: np.ndarra
                          f"len(X) = {len(X)} and len(Qs) = {len(Qs)}")
     N, d = Qs.shape[0], Qs.shape[-1]
     Qt = np.transpose(Qs, (0, 2, 1))
-    if np.any(np.linalg.norm(Qt @ Qs - np.eye(d), axis=(1, 2)) > 1e-9):
+    if np.any(nn.norm(Qt @ Qs - np.eye(d), 2) > 1e-9):
         raise ValueError("equivariance_gap requires every Q to be orthogonal")
     n = 1 if model.deterministic else n_mc
     Xr, Qr = np.repeat(X, n, axis=0), np.repeat(Qs, n, axis=0)
@@ -354,7 +354,7 @@ def equivariance_gap(model: InversionModel, params, X: np.ndarray, Qs: np.ndarra
     coupled = None if noise is None else (Qr @ noise[0], noise[1])
     f1, f2 = (model._forward(params, x, z)[0].reshape(N, n, d, d).mean(axis=1)
               for x, z in ((Xr, noise), (Qr @ Xr, coupled)))
-    return np.linalg.norm(f2 - f1 @ Qt, axis=(1, 2)) / (1.0 + np.linalg.norm(f1, axis=(1, 2)))
+    return nn.norm(f2 - f1 @ Qt, 2) / (1.0 + nn.norm(f1, 2))
 
 
 def evaluate(model: InversionModel, params, n_test: int, n_mc: int,

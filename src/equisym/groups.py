@@ -24,6 +24,7 @@ uniform shuffle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations as _itertools_permutations
 from typing import Callable, List, Optional, Sequence
 
@@ -54,8 +55,11 @@ class RejectionError(GroupError):
     """A rejection sampler accepted nothing in REJECTION_LIMIT batches in a row."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupDescriptor:
+    """A group's law and samplers, frozen so that a shared descriptor such as
+    the cached SE(d) cannot change; dataclasses.replace builds a variant."""
+
     name: str
     mul: Callable
     inv: Callable
@@ -69,7 +73,7 @@ class GroupDescriptor:
 
     def __post_init__(self):
         if self.random_element is None and self.haar is not None:
-            self.random_element = self.haar
+            object.__setattr__(self, "random_element", self.haar)
 
 
 def haar_sample(G: GroupDescriptor, stream: RandomStream, n: Optional[int] = None):
@@ -338,10 +342,16 @@ def semidirect_product(
     )
 
 
+@cache
 def special_euclidean_group(d: int) -> GroupDescriptor:
-    """SE(d) = T_d x| SO(d), elements (t, Q), product (t + Q t', Q Q')."""
+    """SE(d) = T_d x| SO(d), elements (t, Q), product (t + Q t', Q Q').
+
+    Built once per d: later calls return the same frozen descriptor.  The
+    twist check, on a fixed stream with this rho, could not change on a
+    rerun."""
     N = translation_group(d)
     H = orthogonal_group(d, special=True)
+    N.identity.flags.writeable = H.identity.flags.writeable = False  # shared by every caller
     return semidirect_product(N, H, rho=lambda Q, t: (Q @ t[..., None])[..., 0],
                               name=f"SE({d})")
 

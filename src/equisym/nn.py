@@ -12,6 +12,7 @@ differentiates the recurrences analytically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -111,6 +112,32 @@ def det(M) -> np.ndarray:
     return np.linalg.det(M)
 
 
+def norm(x, axes: int = 1) -> np.ndarray:
+    """np.linalg.norm over the last axes (1 or 2) of x, as sums of whole
+    columns, which beats numpy's per-row reduction on many small rows.  The
+    squares are summed in numpy's order for a C-contiguous x, so the result
+    is bit for bit numpy's there: left to right below 8 entries; from 8 to
+    127, 8 strided partial sums r0..r7 taken as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail left to right."""
+    x = np.asarray(x, dtype=float)
+    s = (x * x).reshape(x.shape[:x.ndim - axes] + (-1,))
+    n = s.shape[-1]
+    if not 0 < n < 128:
+        return np.linalg.norm(x, axis=tuple(range(-axes, 0)))
+    col = [s[..., i] for i in range(n)]
+    if n < 8:
+        acc, rest = col[0].copy(), col[1:]
+    else:
+        r = col[:8]
+        for i in range(8, n - 7, 8):
+            r = [a + b for a, b in zip(r, col[i:i + 8])]
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = col[n - n % 8:]
+    for c in rest:
+        acc += c
+    return np.sqrt(acc, out=acc)
+
+
 def cond_within(M, cap: float) -> np.ndarray:
     """np.linalg.cond(M) <= cap for each matrix of a (..., d, d) stack,
     deciding most matrices without an SVD.
@@ -156,8 +183,9 @@ def cond_within(M, cap: float) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     d = M.shape[-1]
     flat = M.reshape(-1, d, d)
+    scale = reduce(np.maximum, np.abs(flat).reshape(len(flat), d * d).T)  # max|m_ij|
     with np.errstate(all="ignore"):  # zero, inf and NaN rows fall through to the SVD
-        N = flat / np.abs(flat).max(axis=(1, 2), keepdims=True)
+        N = flat / scale[:, None, None]
         bound = np.einsum("bij,bij->b", N, N) ** (d / 2) / np.abs(det(N))
         slack = (2.0**d * (d**4 + 32 * d**2) * 2.0**-53) * bound
         ok = (slack <= 1 / 16) & (bound * (1 + slack) <= cap)
@@ -191,7 +219,7 @@ def gram_schmidt_forward(M) -> Tuple[np.ndarray, dict]:
             v_hist.append(v)
             r_hist.append(r)
             v = v - r[..., None] * qi
-        nrm = np.linalg.norm(v, axis=-1)
+        nrm = norm(v)
         Q[..., :, j] = v / nrm[..., None]
         vs.append(v_hist)
         rs.append(r_hist)

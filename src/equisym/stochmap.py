@@ -372,7 +372,17 @@ def enumerate_distribution(k: StochasticMap, x):
 
 
 def distributions_equal(atoms_a, atoms_b) -> bool:
-    """Exact equality of two finite distributions as multisets of atoms."""
-    da = {point_key(y): p for p, y in merge_atoms(atoms_a)}
-    db = {point_key(y): p for p, y in merge_atoms(atoms_b)}
-    return da == db
+    """Exact equality of two finite distributions as multisets of atoms.
+    Only a side that repeats a point is merged (merging changes no other
+    side), and a probability that is not numbers.Rational raises
+    EnumerationError naming its atom."""
+    return _law(atoms_a) == _law(atoms_b)
+
+
+def _law(atoms) -> dict:
+    atoms, law = list(atoms), {}
+    for p, y in atoms:
+        if not isinstance(p, numbers.Rational):
+            raise EnumerationError(f"probability {p!r} of atom {y!r} is not rational")
+        law[point_key(y)] = p
+    return law if len(law) == len(atoms) else {point_key(y): p for p, y in merge_atoms(atoms)}

@@ -128,6 +128,10 @@ def symmetrise(k: StochasticMap, spec: SymmetrisationSpec) -> StochasticMap:
     of each role from its one stream when the draw is stacked.  An
     unconstrained gamma0 into a bundle's coset space, symmetrised with that
     bundle's coset action as the Y-action, is an equivariant gamma for it.
+
+    Over a finite coset group, whose elements are hashable, the enumerator
+    keeps each coset's s(c) and its inverse by c for every later
+    enumeration: both are pure functions of c, so no law can change.
     """
     if k.domain != spec.action_x.space or k.codomain != spec.action_y.space:
         raise SpecError(
@@ -139,21 +143,24 @@ def symmetrise(k: StochasticMap, spec: SymmetrisationSpec) -> StochasticMap:
     ax, ay = spec.action_x.apply, spec.action_y.apply
     gamma = spec.gamma
 
-    def through(c, x):
+    def section(c):
         g = bundle.s(c)
-        return g, ax(G.inv(g), x)
+        return g, G.inv(g)
 
     def sampler(x, stream: RandomStream, n: Optional[int] = None):
-        g, x0 = through(gamma.sampler(x, stream.split(0), n), x)
-        return ay(g, k.sampler(x0, stream.split(1), n))
+        g, g_inv = section(gamma.sampler(x, stream.split(0), n))
+        return ay(g, k.sampler(ax(g_inv, x), stream.split(1), n))
 
     enum = None
     if gamma.finite_support and k.finite_support:
+        sections = {} if getattr(bundle.coset_group, "elements", None) is not None else None
 
         def enum(x):
             def pushed(c):
-                g, x0 = through(c, x)
-                return [(q, ay(g, y)) for q, y in k.enumerator(x0)]
+                if sections is not None and c not in sections:
+                    sections[c] = section(c)
+                g, g_inv = section(c) if sections is None else sections[c]
+                return [(q, ay(g, y)) for q, y in k.enumerator(ax(g_inv, x))]
             return bind(gamma.enumerator(x), pushed)
 
     return StochasticMap(

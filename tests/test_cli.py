@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -170,8 +171,8 @@ class TestExitCodes:
         assert cli.main(["eval"]) == 2  # train already evaluates
 
     def test_failing_suite_is_1(self, monkeypatch, capsys):
-        broken = orthogonal_group(2)
-        broken.mul = lambda g, h: g @ h + 1e-3  # violates associativity/unit
+        # violates associativity/unit
+        broken = dataclasses.replace(orthogonal_group(2), mul=lambda g, h: g @ h + 1e-3)
         monkeypatch.setitem(
             checks_mod.SUITES, "groups",
             lambda: checks_mod.check_groups({"broken O(2)": broken},

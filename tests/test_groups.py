@@ -1,9 +1,10 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from equisym import checks
+from equisym import checks, groups
 from equisym.checks import check_group_axioms, standard_bundles, standard_groups
 from equisym.groups import (
     REJECTION_LIMIT,
@@ -405,6 +406,41 @@ class TestSemidirect:
             decomposed = (Q @ x) + t[:, None]
             assert np.linalg.norm(full - decomposed) <= 1e-9
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_se_is_built_once(self, d, monkeypatch):
+        # the first build checks the twist, 4 rho calls on each of 32
+        # triples; a second build returns the same descriptor and calls
+        # rho 0 times, where each of the 5 builds in check all reran it
+        rho_calls = [0]
+        real = groups.semidirect_product
+
+        def counting_product(N, H, rho, name=None):
+            def counted(h, n):
+                rho_calls[0] += 1
+                return rho(h, n)
+            return real(N, H, counted, name)
+
+        monkeypatch.setattr(groups, "semidirect_product", counting_product)
+        special_euclidean_group.cache_clear()
+        try:
+            first = special_euclidean_group(d)
+            assert rho_calls[0] == 128
+            assert special_euclidean_group(d) is first
+            assert rho_calls[0] == 128
+        finally:
+            special_euclidean_group.cache_clear()
+
+    def test_descriptors_are_frozen(self):
+        SE2 = special_euclidean_group(2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SE2.mul = lambda a, b: a
+        with pytest.raises(ValueError, match="read-only"):
+            SE2.identity[1][0, 0] = 2.0
+        O2 = orthogonal_group(2)
+        assert O2.random_element is O2.haar
+        broken = dataclasses.replace(O2, name="O(2)'")
+        assert broken.mul is O2.mul and O2.name == "O(2)"
+
     def test_finite_direct_product_lists_its_elements(self):
         D = direct(symmetric_group(2), symmetric_group(3))
         assert len(D.elements) == 12 == len(set(D.elements))
@@ -457,6 +493,26 @@ class TestAxiomSuite:
         checks.run_suite("groups")
         checks.run_suite("cosets")
         assert 0 < built[0] < 1000
+
+    def test_coset_laws_draw_se_once_per_role(self, monkeypatch):
+        # SE(d)'s via_N and via_H bundles read one draw of g and g'; each
+        # bundle drew its own before, 4 random_element calls per SE(d)
+        calls = {2: 0, 3: 0}
+
+        def counted_se(d):
+            se = special_euclidean_group(d)
+
+            def random_element(stream, n=None):
+                calls[d] += 1
+                return se.random_element(stream, n)
+            return dataclasses.replace(se, random_element=random_element)
+
+        expected = [checks.check_coset_bundle(name, bundle, 50)
+                    for name, bundle in standard_bundles().items()]
+        monkeypatch.setattr(checks, "special_euclidean_group", counted_se)
+        assert checks.check_cosets(n_samples=50) == expected
+        assert all(r.passed for r in expected)
+        assert calls == {2: 2, 3: 2}
 
     def test_permutation_laws_draw_three_stacks(self, monkeypatch):
         # S_4's three roles are one permutation stack each; one draw per

@@ -230,6 +230,27 @@ class TestGramSchmidt:
         assert np.max(np.abs(dM - fd[0])) <= 1e-6
 
 
+class TestNorm:
+    SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1e200, 1e-200])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_equals_numpy_bit_for_bit(self, d):
+        # 3 x 3 and 4 x 4 matrices take the 8-partial-sum path, vectors and
+        # smaller matrices sum left to right; special entries replace about
+        # 1 in 10
+        stream = RandomStream(40 + d)
+        X = stream.normal((3, 500, d, d)) * np.exp(stream.split(1).uniform((3, 500, d, d)) * 60 - 30)
+        special = stream.split(2).uniform(X.shape) < 0.1
+        X[special] = self.SPECIAL[stream.split(3).integers(0, len(self.SPECIAL), special.sum())]
+        with np.errstate(all="ignore"):
+            for axes, axis in ((2, (-2, -1)), (1, -1)):
+                got, ref = nn.norm(X, axes), np.linalg.norm(X, axis=axis)
+                assert got.shape == ref.shape
+                assert np.array_equal(got, ref, equal_nan=True)
+                assert np.array_equal(nn.norm(X[0, :7], axes), np.linalg.norm(X[0, :7], axis=axis),
+                                      equal_nan=True)
+
+
 class TestCondWithin:
     # every case must equal the SVD decision np.linalg.cond(M) <= cap exactly
 

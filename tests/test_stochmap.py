@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from equisym import stochmap
 from equisym.stochmap import (
     CompositionError,
     EnumerationError,
@@ -289,6 +290,33 @@ class TestEnumerate:
         atoms = enumerate_distribution(k, None)
         assert [p for p, _ in atoms] == [3 * quarter, quarter]
         assert np.array_equal(atoms[0][1], [1.0, 2.0]) and np.array_equal(atoms[1][1], [0.0, 0.0])
+
+    def test_distributions_equal_merges_only_repeated_points(self, monkeypatch):
+        # enumerated laws are merged already, so they are compared as they
+        # are; each side went through merge_atoms before
+        merges = []
+        real = stochmap.merge_atoms
+        monkeypatch.setattr(stochmap, "merge_atoms",
+                            lambda atoms: merges.append(atoms) or real(atoms))
+        third = Fraction(1, 3)
+        k = finite_map(lambda x: [(third, "a"), (2 * third, "b")], ANY, ANY)
+        law = enumerate_distribution(k, None)
+        merges.clear()
+        assert distributions_equal(law, list(reversed(law)))
+        assert not distributions_equal(law, [(third, "b"), (2 * third, "a")])
+        assert merges == []
+        assert distributions_equal([(third, "b"), (third, "a"), (third, "b")], law)
+        assert not distributions_equal([(third, "a"), (third, "a"), (third, "b")],
+                                       [(third, "a"), (third, "b"), (third, "b")])
+        assert len(merges) == 3
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_distributions_equal_rejects_a_float_probability(self, side):
+        exact = [(Fraction(1, 2), "a"), (Fraction(1, 2), "b")]
+        floats = [(Fraction(1, 2), "a"), (0.5, "b")]
+        pair = (floats, exact) if side == 0 else (exact, floats)
+        with pytest.raises(EnumerationError, match="probability 0.5 of atom 'b' is not rational"):
+            distributions_equal(*pair)
 
     def test_probabilities_sum_to_one_exactly(self):
         atoms = enumerate_distribution(fair_coin(), None)

@@ -5,7 +5,7 @@ import pytest
 from fractions import Fraction
 
 import equisym
-from equisym import checks
+from equisym import checks, groups
 from equisym.checks import janossy_setup
 from equisym.equivariance import (
     Action,
@@ -232,6 +232,18 @@ class TestEnumeratorPropagation:
         monkeypatch.undo()
         assert calls == ["new"] * 4
         assert atoms == [(Fraction(1, 4), y) for y in (1.0, 2.0, 3.0, 4.0)]
+
+
+    def test_janossy_s4_computes_each_section_once(self, monkeypatch):
+        # the enumerator keeps each coset's s(c) and its inverse: 24
+        # inverses for S_4's 24 cosets, where the 125 enumerations of the
+        # check computed 3,000
+        inverses = [0]
+        real = groups.perm_inverse
+        monkeypatch.setattr(groups, "perm_inverse",
+                            lambda s: inverses.__setitem__(0, inverses[0] + 1) or real(s))
+        assert checks.check_janossy_equivariance(4).passed
+        assert 0 < inverses[0] <= 24
 
 
 class TestCheckFailBranches:
