@@ -13,21 +13,23 @@ multiplication by the transpose, so the target map is equivariant:
 A draw is a deterministic map of (params, X, noise), as a Markov kernel
 is of its input and an independent noise input.  InversionModel._noise
 draws the noise from a stream: the Haar stack from split(0) and
-sym_recursive's eta from split(1).  All four variants share one forward
-path, InversionModel._forward, which is the coset draw _draw_coset
-followed by _act (un-act, apply k, re-act); they differ only in
-_draw_coset.  Holding the noise fixed, the gradient check differences
-_forward and _act without drawing again.
+sym_recursive's eta from split(1).  Each draw is its base(X, noise), the
+part that reads no parameter (InversionModel._bases: canonical's
+Gram-Schmidt of X, the un-acted input C^T X, sym_recursive's backbone
+input), followed by the rest, _forward, shared by all four variants:
+_draw_coset's backbone, then _act (apply k, re-act).  Holding the base
+fixed, the gradient check differences _forward and _act without drawing
+again.
 
 Training minimizes the Jensen upper bound: one reparameterised draw per
 sample, loss l(y, yhat) = ||y^-1 yhat - I||_F, averaged over the batch.
 A step's batch and noise depend on the seed and the step index only, so
-train draws them for a chunk of CHUNK_ROWS batch rows at a time: each
-step from its own streams, with the chunk's condition caps tested as one
-stack and its Haar normals factored as one stack.  predict draws the noise
-of its Monte Carlo draws CHUNK_ROWS rows at a time in the same way.  QR and
-the condition test work matrix by matrix and the rest is elementwise, so
-every row has the bytes it has when it is drawn alone, at any chunk size.
+train draws them, and builds their bases, for a chunk of CHUNK_ROWS batch
+rows at a time: each step from its own streams, with the chunk's caps
+tested, its Haar normals factored and its bases built as one stack each.
+predict draws its Monte Carlo draws' noise and bases the same way.  QR,
+the condition test and matrix products work matrix by matrix and the rest
+is elementwise, so each row has the bytes of a lone draw at any chunk size.
 """
 
 from __future__ import annotations
@@ -136,6 +138,7 @@ class InversionModel:
         dd = self.d * self.d
         self.k_sizes = (dd, self.hidden, self.hidden, dd)
         self.g0_sizes = (dd + self.d, self.hidden, dd) if self.variant == "sym_recursive" else None
+        self.eye = np.eye(self.d)  # the objective's identity, built once
 
     @property
     def deterministic(self) -> bool:
@@ -149,121 +152,121 @@ class InversionModel:
 
     # -- reparameterised draw -----------------------------------------------
 
-    def _noise(self, B: int, streams: Sequence[RandomStream], couple=None) -> list:
-        """Base draws of B rows from each of the streams, in a list: None for
-        the deterministic variants, else (C1, eta) with the Haar stack C1
-        from split(0), premultiplied by couple when one is given, and
-        sym_recursive's eta from split(1).  The streams' Haar stacks are
-        one _haar_batch, and each C1 is a view of it."""
+    def _noise(self, B: int, streams: Sequence[RandomStream], couple=None) -> tuple:
+        """Base draws of B rows from each of the streams, stacked by stream:
+        () if deterministic, else the Haar stack C1 (one _haar_batch) from
+        their split(0), premultiplied by couple when one is given, and for
+        sym_recursive eta from their split(1)."""
         if self.deterministic:
-            return [None] * len(streams)
-        C1s = _haar_batch(self.d, B, [s.split(0) for s in streams])
-        if couple is not None:
-            C1s = couple @ C1s
-        recursive = self.variant == "sym_recursive"
-        return [(C1, s.split(1).normal((B, self.d)) if recursive else None)
-                for C1, s in zip(C1s, streams)]
-
-    def _draw_coset(self, pg, X, noise):
-        """One gamma draw per batch row from the base draws noise; returns
-        (C, cache or None).  Deterministic given (pg, X, noise).
-
-        Raises nn.DegenerateProjectionError if a sym_recursive backbone
-        output is too close to singular for Gram-Schmidt.
-        """
-        if self.variant == "plain_mlp":
-            return None, None
-        if self.variant == "canonical_deterministic":
-            Q, cache = nn.gram_schmidt_forward(X)
-            return Q, None  # no gradient flows into gamma here
-        C1, eta = noise
+            return ()
+        C1 = _haar_batch(self.d, B, [s.split(0) for s in streams])
+        C1 = C1 if couple is None else couple @ C1
         if self.variant == "sym_haar":
-            return C1, None
+            return (C1,)
+        return C1, _normal_stack([s.split(1) for s in streams], (B, self.d))
+
+    def _bases(self, Xs, noise) -> list:
+        """The parameter-free part of each draw, a tuple of views per row of
+        Xs (n or 1 rows of (B, d, d) inputs) and noise: k's input Z = flat(X)
+        for plain_mlp; (C, C^T, flat(C^T X)) with C = C1 for sym_haar and
+        GS(X) for canonical; (C1, [flat(C1^T X); eta]) for sym_recursive."""
+        if self.variant == "plain_mlp":
+            return list(zip(Xs.reshape(Xs.shape[:-2] + (self.d ** 2,))))
+        C = noise[0] if noise else nn.gram_schmidt_forward(Xs)[0]  # canonical draws no noise
+        Ct = np.swapaxes(C, -1, -2)
+        Z = (Ct @ Xs).reshape(C.shape[:-2] + (self.d ** 2,))
+        if self.variant == "sym_recursive":
+            return list(zip(C, np.concatenate([Z, noise[1]], axis=-1)))
+        return list(zip(C, Ct, Z))
+
+    def _draw_coset(self, pg, X, base):
+        """One gamma draw per batch row from the draw's base: ((C, C^T, k's
+        input Z), cache or None), C = None for plain_mlp.  Raises
+        nn.DegenerateProjectionError if a sym_recursive backbone output is
+        too close to singular for Gram-Schmidt."""
+        if self.variant == "plain_mlp":
+            return (None, None) + base, None
+        if self.variant != "sym_recursive":
+            return base, None  # no gradient flows into gamma here
         # sym_recursive: C = C1 * GS(nn_g0([flat(C1^T X); eta]))
-        B, d = X.shape[0], self.d
-        Z1 = np.transpose(C1, (0, 2, 1)) @ X
-        inp = np.concatenate([Z1.reshape(B, d * d), eta], axis=1)
+        C1, inp = base
         U_flat, mlp_cache = nn.mlp_forward(pg, inp)
-        U = U_flat.reshape(U_flat.shape[:-1] + (d, d))
+        U = U_flat.reshape(U_flat.shape[:-1] + (self.d, self.d))
         if not np.all(nn.cond_within(U, nn.DEGENERACY_CAP)):
             raise nn.DegenerateProjectionError("gamma backbone produced a near-singular output")
         Qu, gs_cache = nn.gram_schmidt_forward(U)
         C = C1 @ Qu
+        Ct = np.swapaxes(C, -1, -2)
         cache = {"C1": C1, "Qu": Qu, "mlp_cache": mlp_cache, "gs_cache": gs_cache}
-        return C, cache
+        return (C, Ct, (Ct @ X).reshape(C.shape[:-2] + (self.d ** 2,))), cache
 
-    def _act(self, pk, X, C):
-        """Un-act Z = C^T X, apply k, re-act Yhat = A C^T; C = None is
-        plain_mlp (no group action).  Returns (Yhat, A, k's cache)."""
-        d = self.d
-        Ct = None if C is None else np.swapaxes(C, -1, -2)
-        Z = X if C is None else Ct @ X
-        A_flat, k_cache = nn.mlp_forward(pk, Z.reshape(Z.shape[:-2] + (d * d,)))
-        A = A_flat.reshape(A_flat.shape[:-1] + (d, d))
-        return (A if C is None else A @ Ct), A, k_cache
+    def _act(self, pk, Ct, Z):
+        """Apply k to the un-acted input Z = flat(C^T X), re-act Yhat = A C^T;
+        Ct = None is plain_mlp (no group action).  Returns (Yhat, A, k's cache)."""
+        A_flat, k_cache = nn.mlp_forward(pk, Z)
+        A = A_flat.reshape(A_flat.shape[:-1] + (self.d, self.d))
+        return (A if Ct is None else A @ Ct), A, k_cache
 
-    def _forward(self, params, X, noise):
-        """The coset draw C ~ gamma(X) from noise, then _act: deterministic
-        given (params, X, noise).  Returns (Yhat, cache); the cache holds
-        what the backward pass reads."""
+    def _forward(self, params, X, base):
+        """The coset draw C ~ gamma(X) from the draw's base (from _bases),
+        then _act: deterministic given (params, X, base).  Returns (Yhat,
+        cache); the cache holds what the backward pass reads."""
         n_k = 2 * (len(self.k_sizes) - 1)
         pk, pg = params[:n_k], params[n_k:]
-        C, coset_cache = self._draw_coset(pg, X, noise)
-        Yhat, A, k_cache = self._act(pk, X, C)
-        cache = {"pk": pk, "pg": pg, "C": C, "coset": coset_cache, "k": k_cache, "A": A}
+        (C, Ct, Z), coset_cache = self._draw_coset(pg, X, base)
+        Yhat, A, k_cache = self._act(pk, Ct, Z)
+        cache = {"pk": pk, "pg": pg, "C": C, "Ct": Ct, "Z": Z, "coset": coset_cache,
+                 "k": k_cache, "A": A}
         return Yhat, cache
 
     def draw(self, params, X, stream: RandomStream, couple=None) -> np.ndarray:
-        """One reparameterised prediction per batch row: _forward at the
-        noise drawn from stream.
-
-        couple=Q (one d x d matrix, or one per row) evaluates at Q.X with the
-        Haar base draws coupled G -> QG, which makes the draw exactly equal
-        Q . (draw at X) for the symmetrised variants.
-        """
+        """One reparameterised prediction per batch row, at the noise drawn
+        from stream.  couple=Q (one d x d matrix, or one per row) evaluates
+        at Q.X with the Haar base draws coupled G -> QG, which makes the draw
+        exactly equal Q . (draw at X) for the symmetrised variants."""
         if couple is not None:
             X = couple @ X
-        noise, = self._noise(len(X), [stream], couple)
-        return self._forward(params, X, noise)[0]
+        base, = self._bases(X[None], self._noise(len(X), [stream], couple))
+        return self._forward(params, X, base)[0]
 
     def predict(self, params, X, n_mc: int, stream: RandomStream) -> np.ndarray:
         """Averaged predictor: the mean over n_mc draws (1 if deterministic)
         of _forward at draw i's noise from stream.split(i), folded in order;
-        the noises of CHUNK_ROWS rows of draws are one _noise call."""
+        CHUNK_ROWS rows of draws take one _noise and one _bases call."""
         if n_mc < 1:
             raise ValueError("predict needs n_mc >= 1")
         n = 1 if self.deterministic else n_mc
         chunk = max(1, CHUNK_ROWS // max(1, len(X)))
-        noises = (noise for start in range(0, n, chunk) for noise in self._noise(
-            len(X), [stream.split(i) for i in range(start, min(start + chunk, n))]))
-        return monte_carlo_mean(self._forward(params, X, noise)[0] for noise in noises)
+        bases = (base for start in range(0, n, chunk) for base in self._bases(X[None], self._noise(
+            len(X), [stream.split(i) for i in range(start, min(start + chunk, n))])))
+        return monte_carlo_mean(self._forward(params, X, base)[0] for base in bases)
 
     # -- forward + backward ----------------------------------------------
 
-    def objective_and_grads(self, params, X, noise):
-        """Jensen objective (one draw per sample, at the base draws noise
-        from _noise) and exact parameter grads."""
+    def objective_and_grads(self, params, X, base):
+        """Jensen objective (one draw per sample, at the draw's base from
+        _bases) and exact parameter grads."""
         if len(X) == 0:
             raise ValueError("objective_and_grads needs a nonempty batch")
         B, d = X.shape[0], self.d
-        Yhat, cache = self._forward(params, X, noise)
+        Yhat, cache = self._forward(params, X, base)
 
-        R = X @ Yhat - np.eye(d)  # the residual of _batch_losses
+        R = X @ Yhat - self.eye  # the residual of _batch_losses
         losses = nn.norm(R, 2)
         if not np.all(np.isfinite(losses)):
             bad = int(np.argmax(~np.isfinite(losses)))
             raise DivergenceError(f"non-finite loss at batch index {bad}")
-        objective = float(losses.mean())
+        objective = float(np.add.reduce(losses) / B)  # the bytes of losses.mean()
 
         # dl/dYhat for l = ||R||_F, averaged over the batch
         denom = np.where(losses > 1e-30, losses, 1.0)
         dYhat = np.transpose(X, (0, 2, 1)) @ R / denom[:, None, None] / B
 
-        C = cache["C"]
+        C, recursive = cache["C"], self.variant == "sym_recursive"
         dA = dYhat if C is None else dYhat @ C
-        grads, dZ_flat = nn.mlp_backward(cache["pk"], cache["k"], dA.reshape(B, d * d))
+        grads, dZ_flat = nn.mlp_backward(cache["pk"], cache["k"], dA.reshape(B, d * d), recursive)
 
-        if self.variant == "sym_recursive":
+        if recursive:
             # Yhat = A C^T and Z = C^T X both depend on C = C1 Qu
             coset_cache = cache["coset"]
             dC = np.transpose(dYhat, (0, 2, 1)) @ cache["A"]
@@ -271,9 +274,8 @@ class InversionModel:
             dC += X @ np.transpose(dZ, (0, 2, 1))
             dQu = np.transpose(coset_cache["C1"], (0, 2, 1)) @ dC
             dU = nn.gram_schmidt_backward(coset_cache["gs_cache"], dQu)
-            grads_g0, _ = nn.mlp_backward(
-                cache["pg"], coset_cache["mlp_cache"], dU.reshape(B, d * d)
-            )
+            grads_g0, _ = nn.mlp_backward(cache["pg"], coset_cache["mlp_cache"],
+                                          dU.reshape(B, d * d), False)
             grads = grads + grads_g0
 
         return objective, grads
@@ -304,18 +306,20 @@ def train(config: TrainConfig) -> TrainResult:
     root = RandomStream(config.seed)
     params, state = nn.adam_init(model.init(root.split(0)))
     history: List[Tuple[int, float]] = []
-    steps, d, B = root.split(1), config.d, config.batch_size
+    steps, d, B, cap = root.split(1), config.d, config.batch_size, config.condition_cap
     chunk = max(1, CHUNK_ROWS // B)
     for start in range(0, config.steps, chunk):
         streams = [steps.split(t) for t in range(start, min(start + chunk, config.steps))]
+        noise = model._noise(B, [s.split(1) for s in streams])
         try:
-            Xs = _sample_batches(d, B, [s.split(0) for s in streams], config.condition_cap)
+            Xs = _sample_batches(d, B, [s.split(0) for s in streams], cap)
+            draws = zip(Xs, model._bases(Xs, noise))
         except ConfigurationError:  # draw again step by step, to raise at the failing step
-            Xs = (sample_batch(d, B, s.split(0), config.condition_cap) for s in streams)
-        noises = model._noise(B, [s.split(1) for s in streams])
-        for step, (X, noise) in enumerate(zip(Xs, noises), start):
+            draws = ((X, model._bases(X[None], tuple(a[i:i + 1] for a in noise))[0]) for i, X in
+                     enumerate(sample_batch(d, B, s.split(0), cap) for s in streams))
+        for step, (X, base) in enumerate(draws, start):
             try:
-                objective, grads = model.objective_and_grads(params, X, noise)
+                objective, grads = model.objective_and_grads(params, X, base)
                 if not np.isfinite(objective) or objective > 1e6:
                     raise DivergenceError(f"objective {objective} at step {step + 1}")
                 nn.adam_step(grads, state, config.lr)  # updates params in place
@@ -350,10 +354,10 @@ def equivariance_gap(model: InversionModel, params, X: np.ndarray, Qs: np.ndarra
         raise ValueError("equivariance_gap requires every Q to be orthogonal")
     n = 1 if model.deterministic else n_mc
     Xr, Qr = np.repeat(X, n, axis=0), np.repeat(Qs, n, axis=0)
-    noise, = model._noise(N * n, [stream])
-    coupled = None if noise is None else (Qr @ noise[0], noise[1])
-    f1, f2 = (model._forward(params, x, z)[0].reshape(N, n, d, d).mean(axis=1)
-              for x, z in ((Xr, noise), (Qr @ Xr, coupled)))
+    noise = model._noise(N * n, [stream])
+    coupled = noise and (Qr @ noise[0],) + noise[1:]
+    f1, f2 = (model._forward(params, x, model._bases(x[None], z)[0])[0]
+              .reshape(N, n, d, d).mean(axis=1) for x, z in ((Xr, noise), (Qr @ Xr, coupled)))
     return nn.norm(f2 - f1 @ Qt, 2) / (1.0 + nn.norm(f1, 2))
 
 
@@ -380,7 +384,7 @@ def evaluate(model: InversionModel, params, n_test: int, n_mc: int,
 
 
 def write_history_csv(path: str, history: List[Tuple[int, float]]) -> None:
-    with open(path, "w") as fh:
+    with nn.atomic_open(path) as fh:
         fh.write("step,objective\n")
         for step, obj in history:
             fh.write("%d,%.17g\n" % (step, obj))
@@ -388,7 +392,7 @@ def write_history_csv(path: str, history: List[Tuple[int, float]]) -> None:
 
 def write_summary(path: str, result: dict) -> None:
     """Write the SUMMARY_FIELDS of a run_experiment result as JSON."""
-    with open(path, "w") as fh:
+    with nn.atomic_open(path) as fh:
         json.dump({key: result[key] for key in SUMMARY_FIELDS}, fh, indent=2)
         fh.write("\n")
 

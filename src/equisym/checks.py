@@ -382,9 +382,9 @@ def check_gram_schmidt_gradients() -> CheckResult:
 def check_end_to_end_gradients() -> CheckResult:
     """Reparameterised gradient of the Jensen objective, sym_recursive d=2.
 
-    A draw is deterministic given (params, X, noise), so the noise is drawn
+    A draw is deterministic given (params, X, noise), so its base is built
     once from the frozen stream: k's finite differences run through _act at
-    the fixed coset C, and gamma's through _forward at the fixed noise.
+    the fixed coset C, and gamma's through _forward at the fixed base.
     Neither runs a backward pass or draws again."""
     model = bench.InversionModel("sym_recursive", d=2, hidden=8)
     stream = RandomStream(DEFAULT_SEED)
@@ -396,12 +396,12 @@ def check_end_to_end_gradients() -> CheckResult:
         return bench._batch_losses(X, Yhat).mean(axis=-1)
 
     try:
-        noise, = model._noise(len(X), [frozen])
-        obj, grads = model.objective_and_grads(params, X, noise)
-        _, cache = model._forward(params, X, noise)
-        pk, C = cache["pk"], cache["C"]
-        fd = (finite_difference_grads(lambda p: objective(model._act(p, X, C)[0]), pk)
-              + finite_difference_grads(lambda p: objective(model._forward(pk + p, X, noise)[0]),
+        base, = model._bases(X[None], model._noise(len(X), [frozen]))
+        obj, grads = model.objective_and_grads(params, X, base)
+        _, cache = model._forward(params, X, base)
+        pk, Ct, Z = cache["pk"], cache["Ct"], cache["Z"]
+        fd = (finite_difference_grads(lambda p: objective(model._act(p, Ct, Z)[0]), pk)
+              + finite_difference_grads(lambda p: objective(model._forward(pk + p, X, base)[0]),
                                         cache["pg"]))
         worst = max(_relative_error(g, f) for g, f in zip(grads, fd))
     except nn.DegenerateProjectionError:  # a near-singular gamma draw fails the row

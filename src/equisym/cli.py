@@ -174,7 +174,7 @@ def run_sweep(args) -> int:
                          f"error:{type(exc).__name__}"))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     path = os.path.join(outdir, "sweep.csv")
-    with open(path, "w") as fh:
+    with nn.atomic_open(path) as fh:
         fh.write("variant,d,seed,final_loss,equiv_gap,status\n")
         for variant, d, seed, fl, gap, status in rows:
             fh.write("%s,%d,%d,%.17g,%.17g,%s\n" % (variant, d, seed, fl, gap, status))

@@ -11,6 +11,8 @@ differentiates the recurrences analytically.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import reduce
 from typing import List, Sequence, Tuple
@@ -63,9 +65,9 @@ def mlp_forward(params: List[np.ndarray], x) -> Tuple[np.ndarray, dict]:
     return h, {"inputs": inputs}
 
 
-def mlp_backward(params: List[np.ndarray], cache: dict, dout) -> Tuple[List[np.ndarray], np.ndarray]:
+def mlp_backward(params: List[np.ndarray], cache: dict, dout, input_grad: bool = True) -> tuple:
     """Exact reverse-mode gradients of a batch forward, without stack axes;
-    returns ([dW0, db0, ...], dinput)."""
+    returns ([dW0, db0, ...], dinput), dinput None unless input_grad."""
     dh = np.asarray(dout, dtype=float)
     inputs = cache["inputs"]
     if dh.ndim != 2 or inputs[-1].ndim != 2:
@@ -85,7 +87,7 @@ def mlp_backward(params: List[np.ndarray], cache: dict, dout) -> Tuple[List[np.n
             dz = dh
         grads[2 * i] = h_in.T @ dz
         grads[2 * i + 1] = dz.sum(axis=0)
-        dh = dz @ params[2 * i].T
+        dh = dz @ params[2 * i].T if i or input_grad else None
     return grads, dh
 
 
@@ -113,28 +115,17 @@ def det(M) -> np.ndarray:
 
 
 def norm(x, axes: int = 1) -> np.ndarray:
-    """np.linalg.norm over the last axes (1 or 2) of x, as sums of whole
-    columns, which beats numpy's per-row reduction on many small rows.  The
-    squares are summed in numpy's order for a C-contiguous x, so the result
-    is bit for bit numpy's there: left to right below 8 entries; from 8 to
-    127, 8 strided partial sums r0..r7 taken as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail left to right."""
+    """np.linalg.norm over the last axes (1 or 2) of x, bit for bit for a
+    C-contiguous x: rows under 8 entries as sums of whole columns, left to
+    right as numpy sums them and faster on many rows; longer ones by numpy."""
     x = np.asarray(x, dtype=float)
-    s = (x * x).reshape(x.shape[:x.ndim - axes] + (-1,))
-    n = s.shape[-1]
-    if not 0 < n < 128:
+    n = x.shape[-1] * (x.shape[-2] if axes == 2 else 1)
+    if not 0 < n < 8:
         return np.linalg.norm(x, axis=tuple(range(-axes, 0)))
-    col = [s[..., i] for i in range(n)]
-    if n < 8:
-        acc, rest = col[0].copy(), col[1:]
-    else:
-        r = col[:8]
-        for i in range(8, n - 7, 8):
-            r = [a + b for a, b in zip(r, col[i:i + 8])]
-        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        rest = col[n - n % 8:]
-    for c in rest:
-        acc += c
+    s = (x * x).reshape(x.shape[:x.ndim - axes] + (n,))
+    acc = s[..., 0].copy()
+    for i in range(1, n):
+        acc += s[..., i]
     return np.sqrt(acc, out=acc)
 
 
@@ -319,10 +310,25 @@ def adam_step(grads: List[np.ndarray], state: AdamState, lr: float) -> None:
 CHECKPOINT_HEADER = "equisym-params v1"
 
 
+@contextmanager
+def atomic_open(path: str):
+    """A temp text file beside path that os.replace moves over path when the
+    block exits cleanly, or that is removed if it raises: path stays whole."""
+    tmp = f"{path}.tmp{os.getpid()}"  # open() keeps the umask's file mode
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_params(path: str, arrays: List[np.ndarray]) -> None:
     """Text checkpoint: header line, then per array a shape line and a
     single line of %.17g values (byte-stable across runs)."""
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write(CHECKPOINT_HEADER + "\n")
         fh.write(f"{len(arrays)}\n")
         for a in arrays:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -176,7 +177,8 @@ class TestModel:
         Q = bench._haar_batch(d, 5, [RandomStream(2)])[0] if coupled else None
         s = RandomStream(3)
         X_acted = X if Q is None else Q @ X
-        expected = m._forward(params, X_acted, m._noise(len(X), [s], Q)[0])[0]
+        base, = m._bases(X_acted[None], m._noise(len(X), [s], Q))
+        expected = m._forward(params, X_acted, base)[0]
         assert np.array_equal(m.draw(params, X, s, couple=Q), expected)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -188,14 +190,15 @@ class TestModel:
         rows = [m.init(RandomStream(seed)) for seed in range(3)]
         stacked = [np.stack(arrays) for arrays in zip(*rows)]
         X = bench.sample_batch(d, 5, RandomStream(10))
-        noise, = m._noise(len(X), [RandomStream(11)])
-        C = m._forward(rows[0], X, noise)[1]["C"]
-        acted = m._act(stacked[:6], X, C)[0]
-        forward = m._forward(stacked, X, noise)[0]
+        base, = m._bases(X[None], m._noise(len(X), [RandomStream(11)]))
+        cache = m._forward(rows[0], X, base)[1]
+        Ct, Z = cache["Ct"], cache["Z"]
+        acted = m._act(stacked[:6], Ct, Z)[0]
+        forward = m._forward(stacked, X, base)[0]
         assert acted.shape == forward.shape == (3, 5, d, d)
         for i, p in enumerate(rows):
-            assert np.array_equal(acted[i], m._act(p[:6], X, C)[0])
-            assert np.array_equal(forward[i], m._forward(p, X, noise)[0])
+            assert np.array_equal(acted[i], m._act(p[:6], Ct, Z)[0])
+            assert np.array_equal(forward[i], m._forward(p, X, base)[0])
 
     def test_coupled_draw_is_exactly_equivariant(self):
         m = bench.InversionModel("sym_haar", d=2, hidden=8)
@@ -255,15 +258,15 @@ class TestModel:
         calls = []
         real_forward = m._forward
 
-        def spy(params, X, noise):
-            out = real_forward(params, X, noise)
-            calls.append((X, noise, out[0]))
+        def spy(params, X, base):
+            out = real_forward(params, X, base)
+            calls.append((X, base, out[0]))
             return out
 
         m._forward = spy
         gaps = bench.equivariance_gap(m, params, X, Qs, RandomStream(3), n_mc=4)
         assert len(calls) == 2
-        (X1, (C1, eta1), f1), (X2, (C2, eta2), f2) = calls
+        (X1, (C1, _, _), f1), (X2, (C2, _, _), f2) = calls
         # pair-major repeats: pair i owns rows 4i .. 4i+3; the coupled side
         # is at Q_i x_i with the one Haar draw premultiplied by Q_i, which is
         # the noise that draw(..., couple=Q) draws from the same stream
@@ -273,7 +276,7 @@ class TestModel:
         assert np.array_equal(C1, m._noise(12, [RandomStream(3)])[0][0])
         assert np.array_equal(C2, Qr @ C1)
         assert np.array_equal(C2, m._noise(12, [RandomStream(3)], couple=Qr)[0][0])
-        assert eta1 is None and eta2 is None
+        assert len(m._noise(12, [RandomStream(3)])) == 1  # sym_haar draws no eta
         draws = f1.reshape(3, 4, 2, 2)
         for i in range(3):
             for a in range(4):
@@ -394,7 +397,8 @@ class TestSymmetriseCombinator:
             X = bench.sample_batch(d, 128, RandomStream(1000 + seed))
             s = RandomStream(2000 + seed)
             assert np.array_equal(gamma.sampler(X, s),
-                                  model._draw_coset(pg, X, model._noise(len(X), [s])[0])[0])
+                                  model._draw_coset(pg, X, model._bases(
+                                      X[None], model._noise(len(X), [s]))[0])[0][0])
 
 
 class TestGradients:
@@ -406,13 +410,13 @@ class TestGradients:
         stream = RandomStream(11)
         params = m.init(stream.split(0))
         X = bench.sample_batch(2, 3, stream.split(1))
-        noise, = m._noise(len(X), [stream.split(2)])
+        base, = m._bases(X[None], m._noise(len(X), [stream.split(2)]))
 
         def f(p):
-            obj, _ = m.objective_and_grads(p, X, noise)
+            obj, _ = m.objective_and_grads(p, X, base)
             return obj
 
-        obj, grads = m.objective_and_grads(params, X, noise)
+        obj, grads = m.objective_and_grads(params, X, base)
         fd = fd_reference(f, params)  # objective_and_grads takes no stacks
         worst = max(_relative_error(g, h) for g, h in zip(grads, fd))
         assert worst <= 1e-4
@@ -433,7 +437,7 @@ class TestGradients:
         params[0][0, 0] = np.nan
         X = bench.sample_batch(2, 3, RandomStream(1))
         with pytest.raises(bench.DivergenceError, match="batch index 0"):
-            m.objective_and_grads(params, X, None)
+            m.objective_and_grads(params, X, m._bases(X[None], ())[0])
 
     @pytest.mark.parametrize("variant", bench.VARIANTS)
     def test_end_to_end_check_objective_is_the_training_objective(self, variant):
@@ -447,9 +451,9 @@ class TestGradients:
         params = m.init(stream.split(0))
         X = bench.sample_batch(2, 4, stream.split(1))
         frozen = stream.split(2)
-        noise, = m._noise(len(X), [frozen])
-        _, cache = m._forward(params, X, noise)
-        pk, pg, C = cache["pk"], cache["pg"], cache["C"]
+        base, = m._bases(X[None], m._noise(len(X), [frozen]))
+        _, cache = m._forward(params, X, base)
+        pk, pg, Ct, Z = cache["pk"], cache["pg"], cache["Ct"], cache["Z"]
 
         def loss(Yhat):
             return float(bench._batch_losses(X, Yhat).mean())
@@ -457,11 +461,11 @@ class TestGradients:
         moved_pk = [a + 1e-5 for a in pk]
         moved_pg = [a + 1e-5 for a in pg]
         for k, g in ((pk, pg), (moved_pk, pg), (pk, moved_pg), (moved_pk, moved_pg)):
-            expected = m.objective_and_grads(k + g, X, noise)[0]
-            assert loss(m._forward(k + g, X, noise)[0]) == expected
+            expected = m.objective_and_grads(k + g, X, base)[0]
+            assert loss(m._forward(k + g, X, base)[0]) == expected
             assert loss(m.draw(k + g, X, frozen)) == expected
             if g is pg:  # the coset is fixed only while gamma's parameters are
-                assert loss(m._act(k, X, C)[0]) == expected
+                assert loss(m._act(k, Ct, Z)[0]) == expected
 
     @staticmethod
     def spy_fds(monkeypatch):
@@ -528,15 +532,15 @@ class TestGradients:
         stream = RandomStream(checks.DEFAULT_SEED + d)
         params = m.init(stream.split(0))
         X = bench.sample_batch(d, 4, stream.split(1))
-        noise, = m._noise(len(X), [stream.split(2)])
-        _, cache = m._forward(params, X, noise)
-        pk, pg, C = cache["pk"], cache["pg"], cache["C"]
+        base, = m._bases(X[None], m._noise(len(X), [stream.split(2)]))
+        _, cache = m._forward(params, X, base)
+        pk, pg, Ct, Z = cache["pk"], cache["pg"], cache["Ct"], cache["Z"]
         fds = []
         for fd, loss in ((checks.finite_difference_grads,
                           lambda Yhat: bench._batch_losses(X, Yhat).mean(axis=-1)),
                          (fd_reference, lambda Yhat: float(bench._batch_losses(X, Yhat).mean()))):
-            fds.append(fd(lambda p: loss(m._act(p, X, C)[0]), pk)
-                       + fd(lambda p: loss(m._forward(pk + p, X, noise)[0]), pg))
+            fds.append(fd(lambda p: loss(m._act(p, Ct, Z)[0]), pk)
+                       + fd(lambda p: loss(m._forward(pk + p, X, base)[0]), pg))
         stacked, looped = fds
         assert len(stacked) == len(looped) == len(params)
         assert all(np.array_equal(a, b) for a, b in zip(stacked, looped))
@@ -883,6 +887,63 @@ class TestTrainingChunks:
         assert len(builds) == self.PHILOX_BUILDS[variant]
 
 
+class TestTrainingBases:
+    """train builds each chunk's bases, the part of every step's draw that
+    reads no parameter, with the chunk's batches and noise, and each step
+    runs only the rest of its forward and backward."""
+
+    @pytest.mark.parametrize("chunk_rows,calls", [(None, 1), (48, 7)])
+    def test_canonical_runs_one_gram_schmidt_per_chunk(self, chunk_rows, calls, monkeypatch):
+        # 20 steps of 16 rows: one default chunk, or 7 chunks of 3 steps;
+        # each step ran its own Gram-Schmidt of X before
+        real = nn.gram_schmidt_forward
+        shapes = []
+        monkeypatch.setattr(nn, "gram_schmidt_forward",
+                            lambda M: shapes.append(np.shape(M)) or real(M))
+        result = TestTrainingChunks.run(monkeypatch, chunk_rows,
+                                        variant="canonical_deterministic", steps=20)
+        assert not result.diverged
+        assert len(shapes) == calls
+        assert sum(shape[0] for shape in shapes) == 20 and shapes[0][1:] == (16, 2, 2)
+
+    @pytest.mark.parametrize("variant", bench.VARIANTS)
+    def test_only_sym_recursive_k_computes_an_input_gradient(self, variant, monkeypatch):
+        real = nn.mlp_backward
+        input_grads = []
+
+        def spy(*args, **kwargs):
+            grads, dinput = real(*args, **kwargs)
+            input_grads.append(dinput is not None)
+            return grads, dinput
+
+        monkeypatch.setattr(nn, "mlp_backward", spy)
+        result = TestTrainingChunks.run(monkeypatch, None, variant=variant, steps=3)
+        assert not result.diverged
+        per_step = [True, False] if variant == "sym_recursive" else [False]
+        assert input_grads == per_step * 3
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("variant", bench.VARIANTS)
+    def test_chunk_bases_equal_single_batch_bases(self, variant, d):
+        # the bases of a 5-step chunk, and the objectives and gradients they
+        # give, equal those of each step's batch and noise drawn alone
+        m = bench.InversionModel(variant, d, hidden=8)
+        params = m.init(RandomStream(0))
+        streams = [RandomStream(1).split(t) for t in range(5)]
+        Xs = bench._sample_batches(d, 16, [s.split(0) for s in streams], 1e4)
+        chunk = m._bases(Xs, m._noise(16, [s.split(1) for s in streams]))
+        assert len(chunk) == 5
+        for s, X, base in zip(streams, Xs, chunk):
+            X1 = bench.sample_batch(d, 16, s.split(0))
+            single, = m._bases(X1[None], m._noise(16, [s.split(1)]))
+            assert np.array_equal(X, X1)
+            assert all(np.array_equal(a, b) for a, b in zip(base, single))
+            obj, grads = m.objective_and_grads(params, X, base)
+            obj1, grads1 = m.objective_and_grads(params, X1, single)
+            assert obj == obj1
+            assert all(np.array_equal(a, b) for a, b in zip(grads, grads1))
+
+
 class TestPredictChunks:
     """predict draws the noise of max(1, CHUNK_ROWS // len(X)) draws as one
     _noise call, draw i from stream.split(i): any chunk size gives the
@@ -896,8 +957,8 @@ class TestPredictChunks:
         n = 1 if model.deterministic else n_mc
         acc = None
         for i in range(n):
-            noise, = model._noise(len(X), [stream.split(i)])
-            y = model._forward(params, X, noise)[0]
+            base, = model._bases(X[None], model._noise(len(X), [stream.split(i)]))
+            y = model._forward(params, X, base)[0]
             acc = y if acc is None else acc + y
         return acc / n
 
@@ -978,3 +1039,19 @@ class TestArtifacts:
         data = json.loads(Path(path).read_text())
         assert data == {"variant": "sym_haar", "d": 2, "final_loss": 0.4,
                         "equiv_gap": 1e-8, "seed": 7, "diverged": False}
+
+    @pytest.mark.parametrize("write,bad", [
+        (nn.save_params, [np.zeros(3), np.array(["x"])]),
+        (bench.write_history_csv, [(1, 0.5), (2, "x")]),
+        (bench.write_summary, {"variant": "sym_haar", "d": 2, "final_loss": 0.4,
+                               "equiv_gap": object(), "seed": 7, "diverged": False}),
+    ])
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path, write, bad):
+        # the bad entry raises after the first lines are written: the old
+        # file is left byte for byte, and no temp file behind
+        path = tmp_path / "artifact"
+        path.write_bytes(b"previous artifact\n")
+        with pytest.raises(TypeError):
+            write(str(path), bad)
+        assert path.read_bytes() == b"previous artifact\n"
+        assert os.listdir(tmp_path) == ["artifact"]

@@ -122,6 +122,32 @@ class TestMlp:
             fd = (w[0] @ up[0] - w[0] @ dn[0]) / (2 * h)
             assert abs(dx[0, j] - fd) <= 1e-6
 
+    def test_backward_without_input_gradient(self):
+        # the same parameter gradients, bit for bit, without the last
+        # dz @ W0^T: weights viewed as MatmulCount count their products
+        class MatmulCount(np.ndarray):
+            count = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                MatmulCount.count += ufunc is np.matmul
+                return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
+
+        stream = RandomStream(12)
+        params = nn.init_mlp((4, 6, 6, 4), stream.split(0))
+        x = stream.split(1).normal((5, 4))
+        dout = stream.split(2).normal((5, 4))
+        _, cache = nn.mlp_forward(params, x)
+        counted = [p.view(MatmulCount) for p in params]
+        out = []
+        for input_grad in (True, False):
+            MatmulCount.count = 0
+            out.append(nn.mlp_backward(counted, cache, dout, input_grad) + (MatmulCount.count,))
+        (grads, dx, n_with), (grads_without, dx_without, n_without) = out
+        assert all(np.array_equal(a, b) for a, b in zip(grads, grads_without))
+        assert np.array_equal(dx, nn.mlp_backward(params, cache, dout)[1])
+        assert dx_without is None
+        assert (n_with, n_without) == (3, 2)
+
     @pytest.mark.parametrize("B", [1, 4, 512])
     @pytest.mark.parametrize("sizes", [(4, 64, 64, 4), (6, 8, 4)])
     def test_matches_out_of_place_reference_bitwise(self, sizes, B):
