@@ -35,6 +35,7 @@ is elementwise, so each row has the bytes of a lone draw at any chunk size.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -83,8 +84,8 @@ class TrainConfig:
                 raise ConfigurationError(f"config field {name} must be positive")
         if not (self.lr > 0 and self.condition_cap > 1):  # also rejects NaN
             raise ConfigurationError("lr must be positive and condition_cap above 1")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigurationError("config field seed must be in [0, 2**64)")
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
+            raise ConfigurationError("config field seed must be an integer in [0, 2**64)")
 
 
 # ---------------------------------------------------------------------------

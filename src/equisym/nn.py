@@ -52,7 +52,7 @@ def mlp_forward(params: List[np.ndarray], x) -> Tuple[np.ndarray, dict]:
     h = np.asarray(x, dtype=float)
     if h.ndim < 2 or h.shape[-1] != params[0].shape[-2]:
         raise ValueError(
-            f"input of shape {h.shape} is not a batch of width {params[0].shape[0]}"
+            f"input of shape {h.shape} is not a batch of width {params[0].shape[-2]}"
         )
     inputs = []
     n_layers = len(params) // 2
@@ -350,7 +350,10 @@ def load_params(path: str) -> List[np.ndarray]:
             if shape_line[:1] != ["shape"] or not all(s.isdecimal() for s in shape_line[1:]):
                 raise ValueError(f"malformed checkpoint: bad shape line of array {i}")
             shape = tuple(int(s) for s in shape_line[1:])
-            vals = np.array([float(v) for v in fh.readline().split()])
+            try:
+                vals = np.array([float(v) for v in fh.readline().split()])
+            except ValueError as exc:
+                raise ValueError(f"malformed checkpoint: array {i}: {exc}") from None
             if vals.size != np.prod(shape, dtype=int):
                 raise ValueError(f"malformed checkpoint: array {i} has {vals.size} values "
                                  f"but shape {shape}")

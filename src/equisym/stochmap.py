@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -34,72 +35,12 @@ class EnumerationError(ValueError):
 _ONE = Fraction(1)
 
 
-# numpy SeedSequence's hash constants (numpy/random/bit_generator.pyx)
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-
-
 def _words(n: int) -> list:
     """n's little-endian 32-bit words, as SeedSequence reads an int (0 is one word)."""
-    words = [n & _M32]
+    words = [n & 0xFFFFFFFF]
     while n := n >> 32:
-        words.append(n & _M32)
+        words.append(n & 0xFFFFFFFF)
     return words
-
-
-def _hashmix(w: int, h: int):
-    """SeedSequence's hashmix of word w under hash constant h: (value, next h)."""
-    h2 = h * _MULT_A & _M32
-    v = (w ^ h) * h2 & _M32
-    return v ^ v >> 16, h2
-
-
-def _mix_into(pool: list, dst: int, w: int, h: int) -> int:
-    """pool[dst] = mix(pool[dst], hashmix(w)), SeedSequence's mixing step;
-    returns the next hash constant."""
-    v, h = _hashmix(w, h)
-    r = (0xCA01F9DD * pool[dst] - 0x4973F715 * v) & _M32
-    pool[dst] = r ^ r >> 16
-    return h
-
-
-def _absorb(pool, h: int, words) -> tuple:
-    """Mix each entropy word past the fourth into every pool word; returns
-    a new (pool, h)."""
-    pool = list(pool)
-    for w in words:
-        for dst in range(4):
-            h = _mix_into(pool, dst, w, h)
-    return pool, h
-
-
-def _seed_pool(seed: int) -> tuple:
-    """SeedSequence's (pool, h) after mixing the seed's words, padded to four."""
-    pool, h = [], _INIT_A
-    for w in (_words(seed) + [0, 0, 0])[:4]:
-        v, h = _hashmix(w, h)
-        pool.append(v)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                h = _mix_into(pool, dst, pool[src], h)
-    return tuple(pool), h
-
-
-@cache
-def _key_seed():
-    """A seed type whose generate_state returns a Philox key already derived;
-    numpy.random loads on the first generator build, not at import."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PhiloxKey(ISeedSequence):
-        def __init__(self, key):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.key
-
-    return PhiloxKey
 
 
 class RandomStream:
@@ -113,42 +54,38 @@ class RandomStream:
     A stream holds only its parent and its split tag.  Its generator is
     Philox(SeedSequence(entropy=seed, spawn_key=path)) for the path of split
     tags from the root, bit for bit, built on the first draw, so a stream
-    that is only split costs no generator.  SeedSequence mixes the seed's
-    words, padded to four, into a pool of four words and then mixes in each
-    later word alone, so a stream caches its pool and a child mixes only its
-    tag's words into its parent's.  The Philox key is SeedSequence's
-    generate_state(2, uint64) of that pool.
+    that is only split costs no generator.  SeedSequence's entropy is the
+    seed's 32-bit words, padded to four, followed by each tag's words; a
+    stream caches that word list, a child extends its parent's, and the
+    generator hands it to SeedSequence as one uint32 array, which numpy
+    reads far faster than a spawn key of Python ints.
     """
 
     def __init__(self, seed: int, _parent: "RandomStream" = None, _tag: int = 0):
-        if not (0 <= int(seed) < 2**64):
+        seed = operator.index(seed)
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        self.seed = int(seed)
+        self.seed = seed
         self._parent = _parent
         self._tag = _tag
 
     @cached_property
-    def _pool(self) -> tuple:
-        """(pool, h) after SeedSequence mixes the seed and the split tags."""
+    def _entropy(self) -> list:
+        """SeedSequence's entropy words for the seed and the split tags."""
         if self._parent is None:
-            return _seed_pool(self.seed)
-        return _absorb(*self._parent._pool, _words(self._tag))
+            return (_words(self.seed) + [0, 0, 0])[:4]
+        return self._parent._entropy + _words(self._tag)
 
     @cached_property
     def _gen(self) -> np.random.Generator:
-        h, key = _INIT_B, 0
-        for i, w in enumerate(self._pool[0]):
-            v = w ^ h
-            h = h * _MULT_B & _M32
-            v = v * h & _M32
-            key |= (v ^ v >> 16) << 32 * i
-        key = np.array([key & 0xFFFFFFFFFFFFFFFF, key >> 64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(_key_seed()(key)))
+        entropy = np.random.SeedSequence(np.array(self._entropy, dtype=np.uint32))
+        return np.random.Generator(np.random.Philox(entropy))
 
     def split(self, tag: int) -> "RandomStream":
-        if int(tag) < 0:
+        tag = operator.index(tag)
+        if tag < 0:
             raise ValueError("split tag must be nonnegative")
-        return RandomStream(self.seed, self, int(tag))
+        return RandomStream(self.seed, self, tag)
 
     def normal(self, shape=(), out=None) -> np.ndarray:
         """Standard normals of the given shape, written into out if given."""

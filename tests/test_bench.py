@@ -58,6 +58,12 @@ class TestConfig:
             bench.TrainConfig(seed=seed)
         assert bench.TrainConfig(seed=2**64 - 1).seed == 2**64 - 1
 
+    @pytest.mark.parametrize("seed", [1.5, 2.7, "7"])
+    def test_non_integral_seed_rejected(self, seed):
+        # RandomStream would reject it only when training starts
+        with pytest.raises(bench.ConfigurationError, match="seed must be an integer"):
+            bench.TrainConfig(seed=seed)
+
 
 class TestData:
     def test_condition_cap_respected(self):
@@ -567,14 +573,24 @@ class TestGradients:
         assert counts["objective_and_grads"] <= 1
         assert counts["mlp_backward"] <= 3
 
-    def test_gradients_suite_hashes_no_seed_sequence(self, monkeypatch):
-        # each stream derives its Philox key from its parent's cached pool;
-        # the parent built 974 SeedSequences here, one per generator
+    def test_gradients_suite_seeds_each_generator_from_entropy_words(self, monkeypatch):
+        # one SeedSequence per generator, each given its entropy words as
+        # one uint32 array and no spawn key: numpy reads the array in C but
+        # coerces a spawn key of Python ints in Python
+        real, seeded = np.random.SeedSequence, []
+
+        def seed_sequence(*args, **kwargs):
+            seeded.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", seed_sequence)
         counts = {}
-        self.count_calls(monkeypatch, counts, np.random, "SeedSequence")
         self.count_calls(monkeypatch, counts, np.random, "Philox")
         assert all(r.passed for r in checks.run_suite("gradients"))
-        assert counts["SeedSequence"] == 0 and counts["Philox"] > 0
+        assert 0 < len(seeded) == counts["Philox"] <= 14
+        for args, kwargs in seeded:
+            assert not kwargs and len(args) == 1
+            assert isinstance(args[0], np.ndarray) and args[0].dtype == np.uint32
 
     def test_gradients_suite_runs_one_forward_per_parameter_array(self, monkeypatch):
         # each parameter array's finite differences are one stacked forward;

@@ -54,6 +54,12 @@ class TestMlp:
         with pytest.raises(ValueError):
             nn.mlp_forward(p, np.zeros((1, 5)))
 
+    def test_width_mismatch_names_the_stacked_width(self):
+        # stacked (5, 4, 3) weights take width 4, not the stack's 5
+        p = [np.zeros((5, 4, 3)), np.zeros((5, 3))]
+        with pytest.raises(ValueError, match=r"^input of shape \(5, 2, 6\) is not a batch of width 4$"):
+            nn.mlp_forward(p, np.zeros((5, 2, 6)))
+
     def test_unbatched_input_rejected(self):
         # a 1-D input of the right width would otherwise give gradients of
         # the wrong shape in mlp_backward; a stacked input is a forward
@@ -261,7 +267,7 @@ class TestNorm:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_equals_numpy_bit_for_bit(self, d):
-        # 3 x 3 and 4 x 4 matrices take the 8-partial-sum path, vectors and
+        # 3 x 3 and 4 x 4 matrices go to np.linalg.norm itself, vectors and
         # smaller matrices sum left to right; special entries replace about
         # 1 in 10
         stream = RandomStream(40 + d)
@@ -480,6 +486,16 @@ class TestCheckpoints:
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match=r"^malformed checkpoint: array 1 has 3 values "
                                              r"but shape \(2, 2\)$"):
+            nn.load_params(str(path))
+
+    def test_non_numeric_value_names_the_array(self, tmp_path):
+        path = tmp_path / "params.txt"
+        nn.save_params(str(path), [np.zeros(3), np.ones((2, 2))])
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5] = "1 abc 1 1\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="^malformed checkpoint: array 1: could not convert "
+                                             "string to float: 'abc'$"):
             nn.load_params(str(path))
 
     @pytest.mark.parametrize("count", ["two", "-1", "1.5", ""])

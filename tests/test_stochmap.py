@@ -33,13 +33,16 @@ def gaussian_map():
 
 def derivation_cases():
     """(seed, path) pairs: edge seeds and tags around 2^32 and 2^64, plus
-    fixed-seed random ones, at depths 0 to 6."""
+    fixed-seed random ones, at depths 0 to 6, then tags of three and four
+    words at depths 1 to 3."""
     rng = random.Random(2024)
     seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [rng.randrange(2**64) for _ in range(5)]
     tags = [0, 1, 2**32 - 1, 2**32, 2**40]
     return [(seed, tuple(rng.choice(tags) if rng.random() < 0.5 else rng.randrange(8)
                          for _ in range(depth)))
-            for seed in seeds for depth in range(7)]
+            for seed in seeds for depth in range(7)] + [
+        (0, (2**64,)), (2**64 - 1, (2**96 + 5,)), (3, (2**96 + 5, 2**64)),
+        (2**32, (1, 2**64, 7)), (5, (2**64, 0, 2**96 + 5))]
 
 
 def noise_map():
@@ -372,6 +375,20 @@ class TestStreams:
         got = (stream.normal(3), stream.uniform(2), stream.integers(0, 2**40, 3),
                stream.permutation(6))
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    @pytest.mark.parametrize("bad", [1.5, 2.7, "7"])
+    def test_non_integral_seed_or_tag_rejected(self, bad):
+        # int() would truncate 1.5 to 1 and parse "7", giving another seed's draws
+        with pytest.raises(TypeError):
+            RandomStream(bad)
+        with pytest.raises(TypeError):
+            RandomStream(0).split(bad)
+
+    def test_numpy_integer_seed_and_tag_draw_as_ints(self):
+        a = RandomStream(np.int64(7)).split(np.uint32(3))
+        b = RandomStream(7).split(3)
+        assert a.seed == 7 and type(a.seed) is int
+        assert np.array_equal(a.normal(4), b.normal(4))
 
     @pytest.mark.parametrize("k", [0, 1, 333])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
