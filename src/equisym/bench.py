@@ -35,6 +35,7 @@ is elementwise, so each row has the bytes of a lone draw at any chunk size.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -77,6 +78,9 @@ class TrainConfig:
             raise ConfigurationError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
+        for name in ("d", "hidden", "steps", "batch_size", "n_mc_eval", "n_test"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigurationError(f"config field {name} must be an integer")
         if self.steps < 0:
             raise ConfigurationError("config field steps must be nonnegative")
         for name in ("d", "hidden", "batch_size", "n_mc_eval", "n_test"):
@@ -174,7 +178,7 @@ class InversionModel:
         if self.variant == "plain_mlp":
             return list(zip(Xs.reshape(Xs.shape[:-2] + (self.d ** 2,))))
         C = noise[0] if noise else nn.gram_schmidt_forward(Xs)[0]  # canonical draws no noise
-        Ct = np.swapaxes(C, -1, -2)
+        Ct = C.swapaxes(-1, -2)
         Z = (Ct @ Xs).reshape(C.shape[:-2] + (self.d ** 2,))
         if self.variant == "sym_recursive":
             return list(zip(C, np.concatenate([Z, noise[1]], axis=-1)))
@@ -193,11 +197,11 @@ class InversionModel:
         C1, inp = base
         U_flat, mlp_cache = nn.mlp_forward(pg, inp)
         U = U_flat.reshape(U_flat.shape[:-1] + (self.d, self.d))
-        if not np.all(nn.cond_within(U, nn.DEGENERACY_CAP)):
+        if not np.logical_and.reduce(nn.cond_within(U, nn.DEGENERACY_CAP), axis=None):
             raise nn.DegenerateProjectionError("gamma backbone produced a near-singular output")
         Qu, gs_cache = nn.gram_schmidt_forward(U)
         C = C1 @ Qu
-        Ct = np.swapaxes(C, -1, -2)
+        Ct = C.swapaxes(-1, -2)
         cache = {"C1": C1, "Qu": Qu, "mlp_cache": mlp_cache, "gs_cache": gs_cache}
         return (C, Ct, (Ct @ X).reshape(C.shape[:-2] + (self.d ** 2,))), cache
 
@@ -254,14 +258,14 @@ class InversionModel:
 
         R = X @ Yhat - self.eye  # the residual of _batch_losses
         losses = nn.norm(R, 2)
-        if not np.all(np.isfinite(losses)):
+        if not np.logical_and.reduce(np.isfinite(losses)):
             bad = int(np.argmax(~np.isfinite(losses)))
             raise DivergenceError(f"non-finite loss at batch index {bad}")
         objective = float(np.add.reduce(losses) / B)  # the bytes of losses.mean()
 
         # dl/dYhat for l = ||R||_F, averaged over the batch
         denom = np.where(losses > 1e-30, losses, 1.0)
-        dYhat = np.transpose(X, (0, 2, 1)) @ R / denom[:, None, None] / B
+        dYhat = X.transpose(0, 2, 1) @ R / denom[:, None, None] / B
 
         C, recursive = cache["C"], self.variant == "sym_recursive"
         dA = dYhat if C is None else dYhat @ C
@@ -270,10 +274,10 @@ class InversionModel:
         if recursive:
             # Yhat = A C^T and Z = C^T X both depend on C = C1 Qu
             coset_cache = cache["coset"]
-            dC = np.transpose(dYhat, (0, 2, 1)) @ cache["A"]
+            dC = dYhat.transpose(0, 2, 1) @ cache["A"]
             dZ = dZ_flat.reshape(B, d, d)
-            dC += X @ np.transpose(dZ, (0, 2, 1))
-            dQu = np.transpose(coset_cache["C1"], (0, 2, 1)) @ dC
+            dC += X @ dZ.transpose(0, 2, 1)
+            dQu = coset_cache["C1"].transpose(0, 2, 1) @ dC
             dU = nn.gram_schmidt_backward(coset_cache["gs_cache"], dQu)
             grads_g0, _ = nn.mlp_backward(cache["pg"], coset_cache["mlp_cache"],
                                           dU.reshape(B, d * d), False)
@@ -297,7 +301,8 @@ def train(config: TrainConfig) -> TrainResult:
     """Fresh batch every step (no finite dataset); deterministic given seed.
 
     Step t draws its batch from steps.split(t).split(0) and its noise from
-    steps.split(t).split(1).  Neither depends on the parameters, so the
+    steps.split(t).split(1), which deterministic variants, drawing no
+    noise, do not build.  Neither depends on the parameters, so the
     draws of a chunk of max(1, CHUNK_ROWS // batch_size) steps are
     stacked before the chunk's steps run, with the bytes of step-by-step
     draws.  A step whose condition cap cannot be met raises
@@ -311,7 +316,7 @@ def train(config: TrainConfig) -> TrainResult:
     chunk = max(1, CHUNK_ROWS // B)
     for start in range(0, config.steps, chunk):
         streams = [steps.split(t) for t in range(start, min(start + chunk, config.steps))]
-        noise = model._noise(B, [s.split(1) for s in streams])
+        noise = () if model.deterministic else model._noise(B, [s.split(1) for s in streams])
         try:
             Xs = _sample_batches(d, B, [s.split(0) for s in streams], cap)
             draws = zip(Xs, model._bases(Xs, noise))
@@ -321,7 +326,7 @@ def train(config: TrainConfig) -> TrainResult:
         for step, (X, base) in enumerate(draws, start):
             try:
                 objective, grads = model.objective_and_grads(params, X, base)
-                if not np.isfinite(objective) or objective > 1e6:
+                if not math.isfinite(objective) or objective > 1e6:
                     raise DivergenceError(f"objective {objective} at step {step + 1}")
                 nn.adam_step(grads, state, config.lr)  # updates params in place
             except (DivergenceError, nn.GradientError, nn.DegenerateProjectionError):

@@ -137,7 +137,7 @@ def sample_accepted(streams: Sequence[RandomStream], n: int, d: int,
     """
     X = _normal_stack(streams, (n, d, d))
     ok = accept(X.reshape(-1, d, d)).reshape(len(streams), n)
-    for j in np.flatnonzero(~ok.all(axis=1)):
+    for j in (~np.logical_and.reduce(ok, axis=1)).nonzero()[0]:
         kept, filled, empty_batches = X[j][ok[j]], 0, 0
         while True:
             empty_batches = 0 if len(kept) else empty_batches + 1

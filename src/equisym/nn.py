@@ -86,7 +86,7 @@ def mlp_backward(params: List[np.ndarray], cache: dict, dout, input_grad: bool =
         else:
             dz = dh
         grads[2 * i] = h_in.T @ dz
-        grads[2 * i + 1] = dz.sum(axis=0)
+        grads[2 * i + 1] = np.add.reduce(dz, axis=0)
         dh = dz @ params[2 * i].T if i or input_grad else None
     return grads, dh
 
@@ -102,14 +102,16 @@ def det(M) -> np.ndarray:
     """The determinant of each matrix of a (..., d, d) stack: by cofactors
     for d <= 3, where LAPACK's per-matrix cost dominates (its rounding is
     bounded in cond_within), and by np.linalg.det for d >= 4."""
-    m = np.moveaxis(np.asarray(M, dtype=float), (-2, -1), (0, 1))
-    if len(m) == 1:
-        return m[0, 0].copy()
-    if len(m) == 2:
-        (a, b), (c, e) = m
-        return a * e - b * c
-    if len(m) == 3:
-        (a, b, c), (p, q, r), (s, t, v) = m
+    M = np.asarray(M, dtype=float)
+    d = M.shape[-1]
+    if d == 1:
+        return M[..., 0, 0].copy()
+    if d == 2:
+        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    if d == 3:
+        a, b, c = M[..., 0, 0], M[..., 0, 1], M[..., 0, 2]
+        p, q, r = M[..., 1, 0], M[..., 1, 1], M[..., 1, 2]
+        s, t, v = M[..., 2, 0], M[..., 2, 1], M[..., 2, 2]
         return (a * (q * v - r * t) - b * (p * v - r * s)) + c * (p * t - q * s)
     return np.linalg.det(M)
 
@@ -181,7 +183,7 @@ def cond_within(M, cap: float) -> np.ndarray:
         slack = (2.0**d * (d**4 + 32 * d**2) * 2.0**-53) * bound
         ok = (slack <= 1 / 16) & (bound * (1 + slack) <= cap)
     unsure = ~ok
-    if unsure.any():
+    if np.logical_or.reduce(unsure):
         ok[unsure] = np.linalg.cond(flat[unsure]) <= cap
     return ok.reshape(M.shape[:-2])
 
@@ -197,7 +199,7 @@ def gram_schmidt_forward(M) -> Tuple[np.ndarray, dict]:
     if A.ndim < 3 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"input of shape {A.shape} is not a stack of square matrices")
     d = A.shape[-1]
-    Q = np.zeros_like(A)
+    Q = np.empty_like(A)  # every column is written below
     vs = []  # per column: v before each projection step
     rs = []
     norms = []
@@ -226,7 +228,7 @@ def gram_schmidt_backward(cache: dict, dQ) -> np.ndarray:
     if dQb.ndim != 3 or Q.ndim != 3:
         raise ValueError("gram_schmidt_backward takes a (B, d, d) stack only")
     d = Q.shape[-1]
-    dM = np.zeros_like(Q)
+    dM = np.empty_like(Q)  # every column is written below
     for j in range(d - 1, -1, -1):
         v_hist = cache["vs"][j]
         r_hist = cache["rs"][j]
@@ -281,8 +283,8 @@ def adam_step(grads: List[np.ndarray], state: AdamState, lr: float) -> None:
     sees the same expressions in the same order as a per-array update.  A
     non-finite gradient raises before anything changes.
     """
-    g = np.concatenate([a.ravel() for a in grads])
-    if not np.all(np.isfinite(g)):
+    g = np.concatenate(grads, axis=None)
+    if not np.logical_and.reduce(np.isfinite(g)):
         raise GradientError("non-finite gradient passed to adam_step")
     state.t += 1
     m, v, t = state.m, state.v, state.t

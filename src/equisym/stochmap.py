@@ -18,7 +18,6 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -51,14 +50,14 @@ class RandomStream:
     many draws the parent has consumed.  Same seed + same draw sequence
     gives bit-identical output across runs.
 
-    A stream holds only its parent and its split tag.  Its generator is
-    Philox(SeedSequence(entropy=seed, spawn_key=path)) for the path of split
-    tags from the root, bit for bit, built on the first draw, so a stream
-    that is only split costs no generator.  SeedSequence's entropy is the
-    seed's 32-bit words, padded to four, followed by each tag's words; a
-    stream caches that word list, a child extends its parent's, and the
-    generator hands it to SeedSequence as one uint32 array, which numpy
-    reads far faster than a spawn key of Python ints.
+    A stream's generator is Philox(SeedSequence(entropy=seed,
+    spawn_key=path)) for the path of split tags from the root, bit for bit,
+    built on the first draw, so a stream that is only split costs no
+    generator.  SeedSequence's entropy is the seed's 32-bit words, padded to
+    four, followed by each tag's words; a stream builds that word list when
+    it is made, a child extending its parent's, and the generator hands it
+    to SeedSequence as one uint32 array, which numpy reads far faster than a
+    spawn key of Python ints.
     """
 
     def __init__(self, seed: int, _parent: "RandomStream" = None, _tag: int = 0):
@@ -68,18 +67,15 @@ class RandomStream:
         self.seed = seed
         self._parent = _parent
         self._tag = _tag
+        # SeedSequence's entropy words for the seed and the split tags
+        self._entropy = ((_words(seed) + [0, 0, 0])[:4] if _parent is None
+                         else _parent._entropy + _words(_tag))
+        self._gen = None  # the generator, built by _build on the first draw
 
-    @cached_property
-    def _entropy(self) -> list:
-        """SeedSequence's entropy words for the seed and the split tags."""
-        if self._parent is None:
-            return (_words(self.seed) + [0, 0, 0])[:4]
-        return self._parent._entropy + _words(self._tag)
-
-    @cached_property
-    def _gen(self) -> np.random.Generator:
+    def _build(self) -> np.random.Generator:
         entropy = np.random.SeedSequence(np.array(self._entropy, dtype=np.uint32))
-        return np.random.Generator(np.random.Philox(entropy))
+        self._gen = np.random.Generator(np.random.Philox(entropy))
+        return self._gen
 
     def split(self, tag: int) -> "RandomStream":
         tag = operator.index(tag)
@@ -89,23 +85,23 @@ class RandomStream:
 
     def normal(self, shape=(), out=None) -> np.ndarray:
         """Standard normals of the given shape, written into out if given."""
-        return self._gen.standard_normal(shape, out=out)
+        return (self._gen or self._build()).standard_normal(shape, out=out)
 
     def uniform(self, shape=()) -> np.ndarray:
-        return self._gen.random(shape)
+        return (self._gen or self._build()).random(shape)
 
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
-        return self._gen.integers(low, high, size=shape)
+        return (self._gen or self._build()).integers(low, high, size=shape)
 
     def permutation(self, n: int, k: Optional[int] = None):
         """A uniform permutation of range(n) as a tuple, or with k a (k, n)
         int stack whose rows equal k successive single draws."""
         if k is None:
-            return tuple(int(i) for i in self._gen.permutation(n))
-        return self._gen.permuted(np.tile(np.arange(n), (k, 1)), axis=1)
+            return tuple(int(i) for i in (self._gen or self._build()).permutation(n))
+        return (self._gen or self._build()).permuted(np.tile(np.arange(n), (k, 1)), axis=1)
 
     def choice_index(self, n: int) -> int:
-        return int(self._gen.integers(0, n))
+        return int((self._gen or self._build()).integers(0, n))
 
 
 @dataclass(frozen=True)
@@ -163,8 +159,10 @@ def finite_map(outcomes: Callable, domain: Space, codomain: Space) -> Stochastic
 
     outcomes(x) must return a list of (Fraction probability, point) whose
     probabilities sum to 1; a point may repeat, and the enumerator merges
-    repeats; the sampler and the enumerator raise EnumerationError naming an
-    atom whose probability is not rational.  The sampler draws by inverse CDF
+    repeats.  The sampler and the enumerator raise EnumerationError naming an
+    atom whose probability is not rational, and the sampler, as
+    enumerate_distribution does, for a negative probability or a sum other
+    than 1.  The sampler draws by inverse CDF
     on a single uniform variate over the list as given; a stacked draw takes
     a sequence of n points and returns n successive draws on the one stream.
     """
@@ -184,14 +182,13 @@ def finite_map(outcomes: Callable, domain: Space, codomain: Space) -> Stochastic
     def draw_one(x, stream: RandomStream):
         # u = i/d < p_1 + ... + p_j exactly when i < (p_1 + ... + p_j) d
         atoms = rational(x)
-        d = math.lcm(*(p.denominator for p, _ in atoms))
+        nums, d = _numerators(atoms)
         i = stream.choice_index(d)
         acc = 0
-        for p, y in atoms:
-            acc += p.numerator * (d // p.denominator)
+        for n, (_, y) in zip(nums, atoms):
+            acc += n
             if i < acc:
                 return y
-        return atoms[-1][1]
 
     return StochasticMap(domain=domain, codomain=codomain, sampler=sampler,
                          enumerator=lambda x: merge_atoms(rational(x)))
@@ -299,13 +296,21 @@ def enumerate_distribution(k: StochasticMap, x):
     if not k.finite_support:
         raise EnumerationError("map has no finite-support enumerator")
     atoms = k.enumerator(x)
+    _numerators(atoms)
+    return atoms
+
+
+def _numerators(atoms) -> tuple:
+    """(numerators, d): the atoms' probabilities over the lcm d of their
+    denominators; raises EnumerationError unless they are nonnegative and
+    sum to 1 exactly."""
     d = math.lcm(*(p.denominator for p, _ in atoms))
     nums = [p.numerator * (d // p.denominator) for p, _ in atoms]
     if sum(nums) != d:
         raise EnumerationError(f"enumerated probabilities sum to {Fraction(sum(nums), d)}, not 1")
     if any(n < 0 for n in nums):
         raise EnumerationError("negative probability in enumerator")
-    return atoms
+    return nums, d
 
 
 def distributions_equal(atoms_a, atoms_b) -> bool:

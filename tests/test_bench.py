@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,15 @@ class TestConfig:
         # RandomStream would reject it only when training starts
         with pytest.raises(bench.ConfigurationError, match="seed must be an integer"):
             bench.TrainConfig(seed=seed)
+
+    @pytest.mark.parametrize("name,value", [
+        ("d", 2.5), ("hidden", 8.0), ("steps", 3.5), ("batch_size", 16.7),
+        ("n_mc_eval", 4.0), ("n_test", 4.2), ("d", "2")])
+    def test_non_integral_size_rejected(self, name, value):
+        # run_experiment would die on it with a bare TypeError
+        with pytest.raises(bench.ConfigurationError, match=f"{name} must be an integer"):
+            bench.TrainConfig(**{name: value})
+        assert getattr(bench.TrainConfig(**{name: np.int64(3)}), name) == 3
 
 
 class TestData:
@@ -901,6 +911,61 @@ class TestTrainingChunks:
                                    steps=20, seed=7)
         assert not bench.train(config).diverged
         assert len(builds) == self.PHILOX_BUILDS[variant]
+
+    @pytest.mark.parametrize("variant", ["plain_mlp", "canonical_deterministic"])
+    def test_deterministic_variants_build_no_noise_streams(self, variant, monkeypatch):
+        # the pinned 20-step run builds the root, its parameter streams
+        # (split(0), the model's split(0) and one per layer), the steps
+        # stream, and per step its stream and the batch's split(0); the
+        # noise split(1) of each step, which draws nothing here, is not built
+        real_init, built = RandomStream.__init__, []
+
+        def init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RandomStream, "__init__", init)
+        config = bench.TrainConfig(variant=variant, d=2, hidden=8, batch_size=16,
+                                   steps=20, seed=7)
+        assert not bench.train(config).diverged
+        assert len(built) == 7 + 2 * 20
+
+
+class TestStepDispatch:
+    """A training step calls numpy's C entry points: no frame of numpy's
+    Python wrappers (np.all, np.transpose, np.moveaxis, zeros_like,
+    ndarray.sum and .any through _methods) or of functools runs in train,
+    and the Python-level calls per step stay within a pinned budget."""
+
+    WRAPPERS = ("numpy/_core/fromnumeric.py", "numpy/_core/numeric.py",
+                "numpy/_core/_methods.py", "/functools.py")
+    # Python-level calls per step of the pinned 20-step run (d=2, B=16,
+    # hidden=8, seed 7) after a warm-up run, set-up included: 25.4, 39.1,
+    # 92.35 and 25.9 with numpy 2.4, against 49.35, 66.05, 158.7 and 50.15
+    # when np.all, np.transpose, ndarray.sum and cached_property ran on
+    # every step; the budget leaves room for numpy's own internals to vary
+    CALL_BUDGET = {"plain_mlp": 28, "sym_haar": 43, "sym_recursive": 100,
+                   "canonical_deterministic": 28}
+
+    @pytest.mark.parametrize("variant", bench.VARIANTS)
+    def test_train_calls_no_python_wrapper(self, variant):
+        config = bench.TrainConfig(variant=variant, d=2, hidden=8, batch_size=16,
+                                   steps=20, seed=7)
+        bench.train(dataclasses.replace(config, steps=2))  # numpy's lazy imports
+        files = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                files.append(frame.f_code.co_filename.replace(os.sep, "/"))
+
+        sys.setprofile(profile)
+        try:
+            result = bench.train(config)
+        finally:
+            sys.setprofile(None)
+        assert not result.diverged
+        assert [f for f in files if f.endswith(self.WRAPPERS)] == []
+        assert len(files) / config.steps <= self.CALL_BUDGET[variant]
 
 
 class TestTrainingBases:

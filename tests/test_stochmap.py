@@ -286,6 +286,23 @@ class TestEnumerate:
         with pytest.raises(EnumerationError, match="not rational"):
             k.sampler([None, None], RandomStream(0), 2)
 
+    # the enumerator's law checks, on laws a sampler drew from before:
+    # [] raised a bare IndexError, 3/4 gave 'b' the missing mass (drawn
+    # with probability 1/2), and 3/2 was silently truncated
+    @pytest.mark.parametrize("atoms,message", [
+        ([], "sum to 0, not 1"),
+        ([(Fraction(1, 2), "a"), (Fraction(1, 4), "b")], "sum to 3/4, not 1"),
+        ([(Fraction(1, 2), "a"), (Fraction(1, 1), "b")], "sum to 3/2, not 1"),
+        ([(Fraction(3, 2), "a"), (Fraction(-1, 2), "b")], "negative probability"),
+    ], ids=["empty", "sum_3_4", "sum_3_2", "negative"])
+    def test_improper_law_is_an_error_when_drawn(self, atoms, message):
+        k = finite_map(lambda x: atoms, ANY, ANY)
+        for draw in (lambda: k.sampler(None, RandomStream(0)),
+                     lambda: k.sampler([None, None], RandomStream(0), 2),
+                     lambda: enumerate_distribution(k, None)):
+            with pytest.raises(EnumerationError, match=message):
+                draw()
+
     def test_finite_map_merges_repeated_array_outcomes(self):
         quarter = Fraction(1, 4)
         k = finite_map(lambda x: [(quarter, np.array([1.0, 2.0])), (quarter, np.zeros(2)),
