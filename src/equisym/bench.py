@@ -10,26 +10,27 @@ multiplication by the transpose, so the target map is equivariant:
   noise-fed MLP projected onto O(d) by Gram-Schmidt, with a Haar base case
 - canonical_deterministic: deterministic gamma = Gram-Schmidt of the input
 
-A draw is a deterministic map of (params, X, noise), as a Markov kernel
-is of its input and an independent noise input.  InversionModel._noise
-draws the noise from a stream: the Haar stack from split(0) and
-sym_recursive's eta from split(1).  Each draw is its base(X, noise), the
-part that reads no parameter (InversionModel._bases: canonical's
-Gram-Schmidt of X, the un-acted input C^T X, sym_recursive's backbone
-input), followed by the rest, _forward, shared by all four variants:
-_draw_coset's backbone, then _act (apply k, re-act).  Holding the base
-fixed, the gradient check differences _forward and _act without drawing
-again.
+A draw is a deterministic map of (params, X, noise), as a Markov kernel is
+of its input and an independent noise input.  InversionModel._noise draws
+the noise from a stream: the Haar stack from split(0) and sym_recursive's
+eta from split(1).  Each draw is its base(X, noise), the part that reads no
+parameter (InversionModel._bases: canonical's Gram-Schmidt of X, the
+un-acted input C^T X, sym_recursive's backbone input), followed by the rest,
+shared by all four variants: _draw_coset's coset, then _act (apply k,
+re-act).  _forward runs the two for the prediction; objective_and_grads runs
+them and backs through their outputs.  Holding the base fixed, the gradient
+check differences _forward and _act without drawing again.
 
 Training minimizes the Jensen upper bound: one reparameterised draw per
-sample, loss l(y, yhat) = ||y^-1 yhat - I||_F, averaged over the batch.
-A step's batch and noise depend on the seed and the step index only, so
-train draws them, and builds their bases, for a chunk of CHUNK_ROWS batch
-rows at a time: each step from its own streams, with the chunk's caps
-tested, its Haar normals factored and its bases built as one stack each.
-predict draws its Monte Carlo draws' noise and bases the same way.  QR,
-the condition test and matrix products work matrix by matrix and the rest
-is elementwise, so each row has the bytes of a lone draw at any chunk size.
+sample, loss l(y, yhat) = ||y^-1 yhat - I||_F, averaged over the batch.  A
+step's batch and noise depend on the seed and the step index only, so train
+draws them, and builds their bases, for a chunk of CHUNK_ROWS batch rows at
+a time: each step from its own streams, with the chunk's caps tested, its
+Haar normals factored and its bases built as one stack each, and a chunk
+whose caps fail runs again step by step.  predict draws its Monte Carlo
+draws' noise and bases the same way.  QR, the condition test and matrix
+products work matrix by matrix and the rest is elementwise, so each row has
+the bytes of a lone draw at any chunk size.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ class TrainConfig:
         for name in ("d", "hidden", "batch_size", "n_mc_eval", "n_test"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"config field {name} must be positive")
-        if not (self.lr > 0 and self.condition_cap > 1):  # also rejects NaN
-            raise ConfigurationError("lr must be positive and condition_cap above 1")
+        if not (0 < self.lr < math.inf and self.condition_cap > 1):  # also rejects NaN
+            raise ConfigurationError("lr must be positive and finite, condition_cap above 1")
         if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
             raise ConfigurationError("config field seed must be an integer in [0, 2**64)")
 
@@ -144,6 +145,7 @@ class InversionModel:
         self.k_sizes = (dd, self.hidden, self.hidden, dd)
         self.g0_sizes = (dd + self.d, self.hidden, dd) if self.variant == "sym_recursive" else None
         self.eye = np.eye(self.d)  # the objective's identity, built once
+        self.n_k = 2 * (len(self.k_sizes) - 1)  # k's arrays lead params, gamma's follow
 
     @property
     def deterministic(self) -> bool:
@@ -172,11 +174,11 @@ class InversionModel:
 
     def _bases(self, Xs, noise) -> list:
         """The parameter-free part of each draw, a tuple of views per row of
-        Xs (n or 1 rows of (B, d, d) inputs) and noise: k's input Z = flat(X)
+        Xs (n or 1 rows of (B, d, d) inputs) and noise: (None, None, flat(X))
         for plain_mlp; (C, C^T, flat(C^T X)) with C = C1 for sym_haar and
         GS(X) for canonical; (C1, [flat(C1^T X); eta]) for sym_recursive."""
         if self.variant == "plain_mlp":
-            return list(zip(Xs.reshape(Xs.shape[:-2] + (self.d ** 2,))))
+            return [(None, None, Z) for Z in Xs.reshape(Xs.shape[:-2] + (self.d ** 2,))]
         C = noise[0] if noise else nn.gram_schmidt_forward(Xs)[0]  # canonical draws no noise
         Ct = C.swapaxes(-1, -2)
         Z = (Ct @ Xs).reshape(C.shape[:-2] + (self.d ** 2,))
@@ -185,25 +187,23 @@ class InversionModel:
         return list(zip(C, Ct, Z))
 
     def _draw_coset(self, pg, X, base):
-        """One gamma draw per batch row from the draw's base: ((C, C^T, k's
-        input Z), cache or None), C = None for plain_mlp.  Raises
-        nn.DegenerateProjectionError if a sym_recursive backbone output is
-        too close to singular for Gram-Schmidt."""
-        if self.variant == "plain_mlp":
-            return (None, None) + base, None
+        """One gamma draw per batch row from its base: ((C, C^T, k's input Z),
+        (the backbone's MLP cache, its Gram-Schmidt cache)); C is None for
+        plain_mlp and the caches None off sym_recursive.  Raises
+        nn.DegenerateProjectionError on a non-finite or near-singular backbone output."""
         if self.variant != "sym_recursive":
-            return base, None  # no gradient flows into gamma here
+            return base, (None, None)  # no gradient flows into gamma here
         # sym_recursive: C = C1 * GS(nn_g0([flat(C1^T X); eta]))
         C1, inp = base
         U_flat, mlp_cache = nn.mlp_forward(pg, inp)
         U = U_flat.reshape(U_flat.shape[:-1] + (self.d, self.d))
-        if not np.logical_and.reduce(nn.cond_within(U, nn.DEGENERACY_CAP), axis=None):
-            raise nn.DegenerateProjectionError("gamma backbone produced a near-singular output")
+        if not (np.logical_and.reduce(np.isfinite(U), axis=None)  # cond_within raises on NaN
+                and np.logical_and.reduce(nn.cond_within(U, nn.DEGENERACY_CAP), axis=None)):
+            raise nn.DegenerateProjectionError("gamma backbone output non-finite or near-singular")
         Qu, gs_cache = nn.gram_schmidt_forward(U)
         C = C1 @ Qu
         Ct = C.swapaxes(-1, -2)
-        cache = {"C1": C1, "Qu": Qu, "mlp_cache": mlp_cache, "gs_cache": gs_cache}
-        return (C, Ct, (Ct @ X).reshape(C.shape[:-2] + (self.d ** 2,))), cache
+        return (C, Ct, (Ct @ X).reshape(C.shape[:-2] + (self.d ** 2,))), (mlp_cache, gs_cache)
 
     def _act(self, pk, Ct, Z):
         """Apply k to the un-acted input Z = flat(C^T X), re-act Yhat = A C^T;
@@ -213,16 +213,10 @@ class InversionModel:
         return (A if Ct is None else A @ Ct), A, k_cache
 
     def _forward(self, params, X, base):
-        """The coset draw C ~ gamma(X) from the draw's base (from _bases),
-        then _act: deterministic given (params, X, base).  Returns (Yhat,
-        cache); the cache holds what the backward pass reads."""
-        n_k = 2 * (len(self.k_sizes) - 1)
-        pk, pg = params[:n_k], params[n_k:]
-        (C, Ct, Z), coset_cache = self._draw_coset(pg, X, base)
-        Yhat, A, k_cache = self._act(pk, Ct, Z)
-        cache = {"pk": pk, "pg": pg, "C": C, "Ct": Ct, "Z": Z, "coset": coset_cache,
-                 "k": k_cache, "A": A}
-        return Yhat, cache
+        """The prediction Yhat at the draw's base (from _bases): _draw_coset,
+        then _act; deterministic given (params, X, base)."""
+        (_, Ct, Z), _ = self._draw_coset(params[self.n_k:], X, base)
+        return self._act(params[:self.n_k], Ct, Z)[0]
 
     def draw(self, params, X, stream: RandomStream, couple=None) -> np.ndarray:
         """One reparameterised prediction per batch row, at the noise drawn
@@ -232,7 +226,7 @@ class InversionModel:
         if couple is not None:
             X = couple @ X
         base, = self._bases(X[None], self._noise(len(X), [stream], couple))
-        return self._forward(params, X, base)[0]
+        return self._forward(params, X, base)
 
     def predict(self, params, X, n_mc: int, stream: RandomStream) -> np.ndarray:
         """Averaged predictor: the mean over n_mc draws (1 if deterministic)
@@ -244,7 +238,7 @@ class InversionModel:
         chunk = max(1, CHUNK_ROWS // max(1, len(X)))
         bases = (base for start in range(0, n, chunk) for base in self._bases(X[None], self._noise(
             len(X), [stream.split(i) for i in range(start, min(start + chunk, n))])))
-        return monte_carlo_mean(self._forward(params, X, base)[0] for base in bases)
+        return monte_carlo_mean(self._forward(params, X, base) for base in bases)
 
     # -- forward + backward ----------------------------------------------
 
@@ -254,7 +248,9 @@ class InversionModel:
         if len(X) == 0:
             raise ValueError("objective_and_grads needs a nonempty batch")
         B, d = X.shape[0], self.d
-        Yhat, cache = self._forward(params, X, base)
+        pk, pg = params[:self.n_k], params[self.n_k:]
+        (C, Ct, Z), (mlp_cache, gs_cache) = self._draw_coset(pg, X, base)
+        Yhat, A, k_cache = self._act(pk, Ct, Z)
 
         R = X @ Yhat - self.eye  # the residual of _batch_losses
         losses = nn.norm(R, 2)
@@ -267,20 +263,18 @@ class InversionModel:
         denom = np.where(losses > 1e-30, losses, 1.0)
         dYhat = X.transpose(0, 2, 1) @ R / denom[:, None, None] / B
 
-        C, recursive = cache["C"], self.variant == "sym_recursive"
+        recursive = gs_cache is not None
         dA = dYhat if C is None else dYhat @ C
-        grads, dZ_flat = nn.mlp_backward(cache["pk"], cache["k"], dA.reshape(B, d * d), recursive)
+        grads, dZ_flat = nn.mlp_backward(pk, k_cache, dA.reshape(B, d * d), recursive)
 
         if recursive:
             # Yhat = A C^T and Z = C^T X both depend on C = C1 Qu
-            coset_cache = cache["coset"]
-            dC = dYhat.transpose(0, 2, 1) @ cache["A"]
+            dC = dYhat.transpose(0, 2, 1) @ A
             dZ = dZ_flat.reshape(B, d, d)
             dC += X @ dZ.transpose(0, 2, 1)
-            dQu = coset_cache["C1"].transpose(0, 2, 1) @ dC
-            dU = nn.gram_schmidt_backward(coset_cache["gs_cache"], dQu)
-            grads_g0, _ = nn.mlp_backward(cache["pg"], coset_cache["mlp_cache"],
-                                          dU.reshape(B, d * d), False)
+            dQu = base[0].transpose(0, 2, 1) @ dC  # base[0] is C1
+            dU = nn.gram_schmidt_backward(gs_cache, dQu)
+            grads_g0, _ = nn.mlp_backward(pg, mlp_cache, dU.reshape(B, d * d), False)
             grads = grads + grads_g0
 
         return objective, grads
@@ -306,7 +300,8 @@ def train(config: TrainConfig) -> TrainResult:
     draws of a chunk of max(1, CHUNK_ROWS // batch_size) steps are
     stacked before the chunk's steps run, with the bytes of step-by-step
     draws.  A step whose condition cap cannot be met raises
-    ConfigurationError only when the loop reaches it.
+    ConfigurationError only when the loop, rerunning its chunk step by
+    step, reaches it.
     """
     model = InversionModel(config.variant, config.d, config.hidden)
     root = RandomStream(config.seed)
@@ -314,16 +309,19 @@ def train(config: TrainConfig) -> TrainResult:
     history: List[Tuple[int, float]] = []
     steps, d, B, cap = root.split(1), config.d, config.batch_size, config.condition_cap
     chunk = max(1, CHUNK_ROWS // B)
-    for start in range(0, config.steps, chunk):
-        streams = [steps.split(t) for t in range(start, min(start + chunk, config.steps))]
-        noise = () if model.deterministic else model._noise(B, [s.split(1) for s in streams])
+    chunks = [range(t, min(t + chunk, config.steps)) for t in range(0, config.steps, chunk)[::-1]]
+    while chunks:
+        ts = chunks.pop()
+        streams = [steps.split(t) for t in ts]
         try:
             Xs = _sample_batches(d, B, [s.split(0) for s in streams], cap)
-            draws = zip(Xs, model._bases(Xs, noise))
-        except ConfigurationError:  # draw again step by step, to raise at the failing step
-            draws = ((X, model._bases(X[None], tuple(a[i:i + 1] for a in noise))[0]) for i, X in
-                     enumerate(sample_batch(d, B, s.split(0), cap) for s in streams))
-        for step, (X, base) in enumerate(draws, start):
+        except ConfigurationError:
+            if len(ts) == 1:  # the loop has reached the step whose cap cannot be met
+                raise
+            chunks += [range(t, t + 1) for t in ts[::-1]]  # rerun the chunk step by step
+            continue
+        noise = () if model.deterministic else model._noise(B, [s.split(1) for s in streams])
+        for step, X, base in zip(ts, Xs, model._bases(Xs, noise)):
             try:
                 objective, grads = model.objective_and_grads(params, X, base)
                 if not math.isfinite(objective) or objective > 1e6:
@@ -362,7 +360,7 @@ def equivariance_gap(model: InversionModel, params, X: np.ndarray, Qs: np.ndarra
     Xr, Qr = np.repeat(X, n, axis=0), np.repeat(Qs, n, axis=0)
     noise = model._noise(N * n, [stream])
     coupled = noise and (Qr @ noise[0],) + noise[1:]
-    f1, f2 = (model._forward(params, x, model._bases(x[None], z)[0])[0]
+    f1, f2 = (model._forward(params, x, model._bases(x[None], z)[0])
               .reshape(N, n, d, d).mean(axis=1) for x, z in ((Xr, noise), (Qr @ Xr, coupled)))
     return nn.norm(f2 - f1 @ Qt, 2) / (1.0 + nn.norm(f1, 2))
 

@@ -397,12 +397,11 @@ def check_end_to_end_gradients() -> CheckResult:
 
     try:
         base, = model._bases(X[None], model._noise(len(X), [frozen]))
-        obj, grads = model.objective_and_grads(params, X, base)
-        _, cache = model._forward(params, X, base)
-        pk, Ct, Z = cache["pk"], cache["Ct"], cache["Z"]
+        _, grads = model.objective_and_grads(params, X, base)
+        pk, pg = params[:model.n_k], params[model.n_k:]
+        (_, Ct, Z), _ = model._draw_coset(pg, X, base)
         fd = (finite_difference_grads(lambda p: objective(model._act(p, Ct, Z)[0]), pk)
-              + finite_difference_grads(lambda p: objective(model._forward(pk + p, X, base)[0]),
-                                        cache["pg"]))
+              + finite_difference_grads(lambda p: objective(model._forward(pk + p, X, base)), pg))
         worst = max(_relative_error(g, f) for g, f in zip(grads, fd))
     except nn.DegenerateProjectionError:  # a near-singular gamma draw fails the row
         worst = float("inf")

@@ -1,11 +1,15 @@
 import dataclasses
 import hashlib
+import itertools
+import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equisym import bench, checks, nn
 from equisym.checks import check_end_to_end_gradients, check_model_gaps
@@ -45,6 +49,19 @@ class TestConfig:
         for name in ("lr", "condition_cap"):
             with pytest.raises(bench.ConfigurationError):
                 bench.TrainConfig(**{name: float("nan")})
+
+    @pytest.mark.parametrize("lr", [math.inf, -math.inf])
+    def test_infinite_lr_rejected(self, lr):
+        # one Adam step at lr = inf leaves every parameter non-finite
+        with pytest.raises(bench.ConfigurationError, match="lr must be positive and finite"):
+            bench.TrainConfig(lr=lr)
+
+    @pytest.mark.parametrize("variant", bench.VARIANTS)
+    def test_infinite_condition_cap_is_no_cap(self, variant):
+        config = bench.TrainConfig(variant=variant, condition_cap=math.inf, steps=2, hidden=4,
+                                   batch_size=4)
+        result = bench.train(config)
+        assert not result.diverged and len(result.history) == 2
 
     @pytest.mark.parametrize("cap", [1.0, 0.5])
     def test_condition_cap_at_most_one(self, cap):
@@ -194,7 +211,7 @@ class TestModel:
         s = RandomStream(3)
         X_acted = X if Q is None else Q @ X
         base, = m._bases(X_acted[None], m._noise(len(X), [s], Q))
-        expected = m._forward(params, X_acted, base)[0]
+        expected = m._forward(params, X_acted, base)
         assert np.array_equal(m.draw(params, X, s, couple=Q), expected)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -207,14 +224,13 @@ class TestModel:
         stacked = [np.stack(arrays) for arrays in zip(*rows)]
         X = bench.sample_batch(d, 5, RandomStream(10))
         base, = m._bases(X[None], m._noise(len(X), [RandomStream(11)]))
-        cache = m._forward(rows[0], X, base)[1]
-        Ct, Z = cache["Ct"], cache["Z"]
+        (_, Ct, Z), _ = m._draw_coset(rows[0][6:], X, base)
         acted = m._act(stacked[:6], Ct, Z)[0]
-        forward = m._forward(stacked, X, base)[0]
+        forward = m._forward(stacked, X, base)
         assert acted.shape == forward.shape == (3, 5, d, d)
         for i, p in enumerate(rows):
             assert np.array_equal(acted[i], m._act(p[:6], Ct, Z)[0])
-            assert np.array_equal(forward[i], m._forward(p, X, base)[0])
+            assert np.array_equal(forward[i], m._forward(p, X, base))
 
     def test_coupled_draw_is_exactly_equivariant(self):
         m = bench.InversionModel("sym_haar", d=2, hidden=8)
@@ -276,7 +292,7 @@ class TestModel:
 
         def spy(params, X, base):
             out = real_forward(params, X, base)
-            calls.append((X, base, out[0]))
+            calls.append((X, base, out))
             return out
 
         m._forward = spy
@@ -343,6 +359,19 @@ class TestModel:
             bench.equivariance_gap(m, params, X[:3], Qs, RandomStream(3))
         assert calls == []
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_backbone_output_is_a_degenerate_gamma(self, bad):
+        # np.linalg.cond, which cond_within hands a NaN matrix, raises
+        # LinAlgError: the coset draw must fail as a degenerate gamma first
+        m = bench.InversionModel("sym_recursive", d=2, hidden=8)
+        params = m.init(RandomStream(0))
+        X = bench.sample_batch(2, 4, RandomStream(1))
+        base, = m._bases(X[None], m._noise(len(X), [RandomStream(2)]))
+        pg = params[6:]
+        pg[-1][0] = bad  # the output bias: every row's U gets one bad entry
+        with pytest.raises(nn.DegenerateProjectionError, match="output non-finite or near-singular"):
+            m._draw_coset(pg, X, base)
+
     def test_untrained_sym_gaps_below_tolerance(self):
         for result in check_model_gaps(dims=(2,), n_pairs=20):
             assert result.passed, result.line()
@@ -355,6 +384,84 @@ class TestModel:
         mean = m.predict(params, X, 5, stream)
         acc = sum(m.draw(params, X, stream.split(i)) for i in range(5))
         assert np.allclose(mean, acc / 5)
+
+
+def sign_matrices(d):
+    """The 2^d diagonal sign matrices diag(+-1) of O(d), the identity first."""
+    return [np.diag(signs) for signs in itertools.product((1.0, -1.0), repeat=d)]
+
+
+class TestSignEquivariance:
+    """On O(d)'s diagonal sign matrices D the symmetrised variants are
+    equivariant bit for bit, so these tests have no tolerance.  Multiplying
+    by D flips signs exactly, round-to-nearest is odd-symmetric
+    (fl(-x) = -fl(x)), and every sum of the forward and the backward keeps
+    its terms in their order, each picking up d_k^2 = 1.  plain_mlp is the
+    negative control.  A perturbation that is itself sign-equivariant, such
+    as C = C1 Qu + 1e-9 X in sym_recursive's coset, passes them."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        """(model, parameters after 50 steps at hidden 16) per (variant, d)."""
+        models = {}
+
+        def get(variant, d):
+            if (variant, d) not in models:
+                config = bench.TrainConfig(variant=variant, d=d, hidden=16, steps=50,
+                                           batch_size=16, seed=16)
+                result = bench.train(config)
+                assert not result.diverged
+                models[variant, d] = bench.InversionModel(variant, d, 16), result.params
+            return models[variant, d]
+
+        return get
+
+    @staticmethod
+    def exact_under_every_d(variant, d):
+        """What each test expects per sign matrix: exact for the identity,
+        and for every other one unless the model is plain_mlp."""
+        return [True] + [variant != "plain_mlp"] * (2 ** d - 1)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("variant", bench.VARIANTS)
+    def test_coupled_draw_is_the_draw_times_d(self, trained, variant, d):
+        model, params = trained(variant, d)
+        X = bench.sample_batch(d, 8, RandomStream(160 + d))
+        drawn = model.draw(params, X, RandomStream(161))
+        exact = [np.array_equal(model.draw(params, X, RandomStream(161), couple=D), drawn @ D)
+                 for D in sign_matrices(d)]
+        assert exact == self.exact_under_every_d(variant, d)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("variant", bench.VARIANTS)
+    def test_gap_over_the_sign_matrices_is_zero(self, trained, variant, d):
+        model, params = trained(variant, d)
+        Ds = np.stack(sign_matrices(d)[1:])
+        X = bench.sample_batch(d, len(Ds), RandomStream(162 + d))
+        gaps = bench.equivariance_gap(model, params, X, Ds, RandomStream(163))
+        if variant == "plain_mlp":
+            assert np.all(gaps > 0) and gaps.mean() > 1e-2
+        else:
+            assert np.array_equal(gaps, np.zeros(len(Ds)))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("variant", bench.VARIANTS)
+    def test_objective_and_gradients_are_sign_invariant(self, trained, variant, d):
+        # at D X, with the Haar stack of the same noise premultiplied by D as
+        # equivariance_gap couples it, objective_and_grads returns the bytes
+        # it returns at X: the backward is equivariant exactly, too
+        model, params = trained(variant, d)
+        X = bench.sample_batch(d, 8, RandomStream(164 + d))
+        stream = RandomStream(165)
+        base, = model._bases(X[None], model._noise(len(X), [stream]))
+        objective, grads = model.objective_and_grads(params, X, base)
+        exact = []
+        for D in sign_matrices(d):
+            base_D, = model._bases((D @ X)[None], model._noise(len(X), [stream], couple=D))
+            objective_D, grads_D = model.objective_and_grads(params, D @ X, base_D)
+            exact.append(objective_D == objective
+                         and all(np.array_equal(a, b) for a, b in zip(grads_D, grads)))
+        assert exact == self.exact_under_every_d(variant, d)
 
 
 class TestSymmetriseCombinator:
@@ -468,8 +575,8 @@ class TestGradients:
         X = bench.sample_batch(2, 4, stream.split(1))
         frozen = stream.split(2)
         base, = m._bases(X[None], m._noise(len(X), [frozen]))
-        _, cache = m._forward(params, X, base)
-        pk, pg, Ct, Z = cache["pk"], cache["pg"], cache["Ct"], cache["Z"]
+        pk, pg = params[:6], params[6:]
+        (_, Ct, Z), _ = m._draw_coset(pg, X, base)
 
         def loss(Yhat):
             return float(bench._batch_losses(X, Yhat).mean())
@@ -478,7 +585,7 @@ class TestGradients:
         moved_pg = [a + 1e-5 for a in pg]
         for k, g in ((pk, pg), (moved_pk, pg), (pk, moved_pg), (moved_pk, moved_pg)):
             expected = m.objective_and_grads(k + g, X, base)[0]
-            assert loss(m._forward(k + g, X, base)[0]) == expected
+            assert loss(m._forward(k + g, X, base)) == expected
             assert loss(m.draw(k + g, X, frozen)) == expected
             if g is pg:  # the coset is fixed only while gamma's parameters are
                 assert loss(m._act(k, Ct, Z)[0]) == expected
@@ -549,14 +656,14 @@ class TestGradients:
         params = m.init(stream.split(0))
         X = bench.sample_batch(d, 4, stream.split(1))
         base, = m._bases(X[None], m._noise(len(X), [stream.split(2)]))
-        _, cache = m._forward(params, X, base)
-        pk, pg, Ct, Z = cache["pk"], cache["pg"], cache["Ct"], cache["Z"]
+        pk, pg = params[:6], params[6:]
+        (_, Ct, Z), _ = m._draw_coset(pg, X, base)
         fds = []
         for fd, loss in ((checks.finite_difference_grads,
                           lambda Yhat: bench._batch_losses(X, Yhat).mean(axis=-1)),
                          (fd_reference, lambda Yhat: float(bench._batch_losses(X, Yhat).mean()))):
             fds.append(fd(lambda p: loss(m._act(p, Ct, Z)[0]), pk)
-                       + fd(lambda p: loss(m._forward(pk + p, X, base)[0]), pg))
+                       + fd(lambda p: loss(m._forward(pk + p, X, base)), pg))
         stacked, looped = fds
         assert len(stacked) == len(looped) == len(params)
         assert all(np.array_equal(a, b) for a, b in zip(stacked, looped))
@@ -605,16 +712,18 @@ class TestGradients:
     def test_gradients_suite_runs_one_forward_per_parameter_array(self, monkeypatch):
         # each parameter array's finite differences are one stacked forward;
         # one forward per perturbed coordinate made 733 mlp_forward, 205
-        # gram_schmidt_forward, 186 _forward and 482 _act calls
+        # gram_schmidt_forward, 186 _forward and 482 _act calls; reading the
+        # end-to-end check's coset from _draw_coset, not a second full
+        # forward, made 22, 8, 4 and 11
         counts = {}
         for owner, name in ((nn, "mlp_forward"), (nn, "gram_schmidt_forward"),
                             (bench.InversionModel, "_forward"), (bench.InversionModel, "_act")):
             self.count_calls(monkeypatch, counts, owner, name)
         assert all(r.passed for r in checks.run_suite("gradients"))
-        assert counts["mlp_forward"] <= 23
+        assert counts["mlp_forward"] <= 22
         assert counts["gram_schmidt_forward"] <= 8
-        assert counts["_forward"] <= 6
-        assert counts["_act"] <= 12
+        assert counts["_forward"] <= 4
+        assert counts["_act"] <= 11
 
     def test_gradients_suite_draws_the_noise_once(self, monkeypatch):
         # the end-to-end check draws its noise once and hands it to
@@ -770,6 +879,33 @@ class TestTraining:
         assert np.isfinite(summary["final_loss"])
 
 
+class TestRunContract:
+    """A config that constructs ends, through run_experiment, in a summary
+    (diverged or not) or in ConfigurationError (a condition cap no batch
+    meets), never in another exception: huge or tiny learning rates and
+    caps included, where float overflow is expected.  lr = inf does not
+    construct; it trained sym_recursive into a LinAlgError before."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(variant=st.sampled_from(bench.VARIANTS), d=st.integers(1, 4),
+           lr=st.sampled_from([1e-320, 1e-8, 1e-4, 1.0, 1e3, 1e100, 1e300, 1.7e308, math.inf]),
+           cap=st.sampled_from([1 + 1e-12, 1.5, 3.0, 1e4, 1e300, math.inf]),
+           steps=st.integers(0, 3), sizes=st.tuples(*[st.integers(1, 8)] * 4),
+           seed=st.integers(0, 2**64 - 1))
+    def test_run_ends_in_a_summary_or_a_configuration_error(self, variant, d, lr, cap, steps,
+                                                            sizes, seed):
+        hidden, batch_size, n_test, n_mc_eval = sizes
+        with np.errstate(all="ignore"):
+            try:
+                config = bench.TrainConfig(variant=variant, d=d, lr=lr, condition_cap=cap,
+                                           steps=steps, hidden=hidden, batch_size=batch_size,
+                                           n_test=n_test, n_mc_eval=n_mc_eval, seed=seed)
+                summary = bench.run_experiment(config)
+            except bench.ConfigurationError:  # lr = inf, or a cap no batch meets
+                return
+        assert set(bench.SUMMARY_FIELDS) <= set(summary)
+
+
 def stream_path(stream):
     """The split tags from the root to stream."""
     tags = []
@@ -880,6 +1016,20 @@ class TestTrainingChunks:
         calls = self.count_objectives(monkeypatch, explode_at=3)
         result = self.run(monkeypatch, chunk_rows, variant="plain_mlp", steps=10)
         assert result.diverged and len(result.history) == 2 and len(calls) == 3
+
+    @pytest.mark.parametrize("chunk_rows", [16, None])
+    @pytest.mark.parametrize("variant", ["plain_mlp", "sym_recursive"])
+    def test_a_rerun_chunk_trains_the_bytes_of_the_run(self, variant, chunk_rows, monkeypatch):
+        # the default chunk's cap fails at step 5, so the chunk runs again
+        # step by step and diverges at step 4: its 3 steps are those of a
+        # 3-step run, objectives and parameters alike
+        reference = self.run(monkeypatch, chunk_rows, variant=variant, steps=3)
+        self.cap_fails_at_step(monkeypatch, 5)
+        self.count_objectives(monkeypatch, explode_at=4)
+        result = self.run(monkeypatch, chunk_rows, variant=variant, steps=10)
+        assert result.diverged
+        assert len(result.history) == 3 and result.history == reference.history
+        assert params_digest(result.params) == params_digest(reference.params)
 
     @pytest.mark.parametrize("chunk_rows", [16, 48, None])
     def test_divergence_mid_chunk(self, chunk_rows, monkeypatch):
@@ -1039,7 +1189,7 @@ class TestPredictChunks:
         acc = None
         for i in range(n):
             base, = model._bases(X[None], model._noise(len(X), [stream.split(i)]))
-            y = model._forward(params, X, base)[0]
+            y = model._forward(params, X, base)
             acc = y if acc is None else acc + y
         return acc / n
 

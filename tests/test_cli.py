@@ -310,6 +310,30 @@ class TestTrainCommand:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[1] == "sym_recursive,2,0,nan,nan,diverged"
 
+    @pytest.mark.parametrize("flags,code", [
+        ("--lr inf --steps 2 --batch-size 4 --hidden 4 --n-test 4 --n-mc-eval 2", 2),
+        ("--d 3 --hidden 5 --steps 3 --batch-size 3 --lr 1.7e308 --n-mc-eval 3 --seed 3 "
+         "--n-test 2", 1),
+        ("--d 2 --hidden 5 --steps 1 --batch-size 1 --lr inf --n-mc-eval 1 --seed 1 "
+         "--n-test 4", 2),
+    ], ids=["lr-inf", "lr-huge", "lr-inf-in-evaluate"])
+    def test_nonfinite_gamma_backbone_ends_cleanly(self, tmp_path, flags, code):
+        # each once handed a NaN gamma-backbone output to np.linalg.cond, whose
+        # LinAlgError escaped as a traceback: from train, or from evaluate
+        # after the last step; a subprocess, as numpy's overflow warnings
+        # are errors under pytest
+        src = os.path.dirname(os.path.dirname(equisym.__file__))
+        argv = ["train", "--variant", "sym_recursive", "--out", str(tmp_path / "run")]
+        run = subprocess.run([sys.executable, "-m", "equisym.cli"] + argv + flags.split(),
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == code, run.stderr
+        assert "Traceback" not in run.stderr
+        if code == 2:
+            assert run.stderr == "error: lr must be positive and finite, condition_cap above 1\n"
+        else:
+            assert "status=diverged" in run.stdout
+
     def test_repeat_run_identical_history(self, tmp_path, capsys):
         args = ["train", "--variant", "plain_mlp", "--seed", "4"] + FAST
         cli.main(args + ["--out", str(tmp_path / "a")])
