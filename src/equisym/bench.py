@@ -301,7 +301,9 @@ def train(config: TrainConfig) -> TrainResult:
     stacked before the chunk's steps run, with the bytes of step-by-step
     draws.  A step whose condition cap cannot be met raises
     ConfigurationError only when the loop, rerunning its chunk step by
-    step, reaches it.
+    step, reaches it.  The run ends diverged at a non-finite or huge
+    objective, a non-finite gradient, a degenerate gamma draw, or a
+    non-finite final parameter, which p -= step never makes finite again.
     """
     model = InversionModel(config.variant, config.d, config.hidden)
     root = RandomStream(config.seed)
@@ -330,7 +332,8 @@ def train(config: TrainConfig) -> TrainResult:
             except (DivergenceError, nn.GradientError, nn.DegenerateProjectionError):
                 return TrainResult(params, history, diverged=True)
             history.append((step + 1, objective))
-    return TrainResult(params, history)
+    finite = np.logical_and.reduce(np.isfinite(state.params))
+    return TrainResult(params, history, diverged=not finite)
 
 
 def equivariance_gap(model: InversionModel, params, X: np.ndarray, Qs: np.ndarray,
@@ -404,13 +407,12 @@ def write_summary(path: str, result: dict) -> None:
 def run_experiment(config: TrainConfig) -> dict:
     """Train one variant and evaluate it; returns the summary fields.
 
-    A degenerate gamma draw during evaluation ends the run as diverged, as
-    it does during training, with NaN final_loss and equiv_gap.
+    The run is diverged if training diverged or final_loss or equiv_gap is
+    not finite; a degenerate gamma draw during evaluation makes both NaN.
     """
     result = train(config)
     model = InversionModel(config.variant, config.d, config.hidden)
     eval_stream = RandomStream(config.seed).split(2)
-    diverged = result.diverged
     try:
         mean_loss, gap = evaluate(
             model, result.params, config.n_test, config.n_mc_eval, eval_stream,
@@ -418,7 +420,6 @@ def run_experiment(config: TrainConfig) -> dict:
         )
     except nn.DegenerateProjectionError:
         mean_loss = gap = float("nan")
-        diverged = True
     return {
         "variant": config.variant,
         "d": config.d,
@@ -427,5 +428,5 @@ def run_experiment(config: TrainConfig) -> dict:
         "equiv_gap": gap,
         "history": result.history,
         "params": result.params,
-        "diverged": diverged,
+        "diverged": result.diverged or not (math.isfinite(mean_loss) and math.isfinite(gap)),
     }

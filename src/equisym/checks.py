@@ -2,12 +2,13 @@
 symmetrisation identities and the Jensen bound, and gradient correctness.
 
 Each suite returns a list of CheckResult rows; the CLI renders them and
-the acceptance tests assert on them.  The group and coset laws run as one
-call on stacks of samples, S_n's included.  Each stability case draws its
-inputs as one stack and makes one stacked symmetrised draw,
-sym.sampler(xs, stream, n), whose rows are n independent draws (see
-stochmap).  The finite differences run one stacked forward per parameter
-array, with the differences of a per-coordinate loop, bit for bit.
+the acceptance tests assert on them, running exactly what `equisym check
+all` runs, as sizes and tolerances are this module's constants.  The group
+and coset laws run as one call on stacks of samples, S_n's included.  Each
+stability case draws its inputs as one stack and makes one stacked
+symmetrised draw, sym.sampler(xs, stream, n), whose rows are n independent
+draws (see stochmap).  The finite differences run one stacked forward per
+parameter array, with the differences of a per-coordinate loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .equivariance import (
     trivial_action,
 )
 from .groups import (
+    AXIOM_TOL,
     GroupDescriptor,
     element_distance,
     general_linear_group,
@@ -52,6 +54,8 @@ from .symcore import (
 )
 
 DEFAULT_SEED = 20240817
+N_SAMPLES = 1000  # random elements per role in the group and coset laws
+N_POINTS = 100  # inputs per stability case, and (x, Q) pairs per gap row
 
 
 @dataclass
@@ -82,7 +86,7 @@ def standard_groups() -> Dict[str, GroupDescriptor]:
     }
 
 
-def check_group_axioms(G: GroupDescriptor, n_samples: int = 1000) -> CheckResult:
+def check_group_axioms(G: GroupDescriptor) -> CheckResult:
     """Associativity, unit, and inverse on random triples, one stream and
     one stack per role."""
     stream = RandomStream(DEFAULT_SEED)
@@ -93,14 +97,12 @@ def check_group_axioms(G: GroupDescriptor, n_samples: int = 1000) -> CheckResult
                    element_distance(G.mul(G.identity, g), g),
                    element_distance(G.mul(g, G.inv(g)), G.identity))
 
-    worst = law(*(G.random_element(stream.split(role), n_samples) for role in range(3)))
-    return CheckResult(f"group axioms {G.name}", worst <= 1e-9, worst)
+    worst = law(*(G.random_element(stream.split(role), N_SAMPLES) for role in range(3)))
+    return CheckResult(f"group axioms {G.name}", worst <= AXIOM_TOL, worst)
 
 
-def check_groups(groups: Optional[Dict[str, GroupDescriptor]] = None,
-                 n_samples: int = 1000) -> List[CheckResult]:
-    groups = groups if groups is not None else standard_groups()
-    return [check_group_axioms(G, n_samples) for G in groups.values()]
+def check_groups() -> List[CheckResult]:
+    return [check_group_axioms(G) for G in standard_groups().values()]
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +119,7 @@ def standard_bundles():
     return out
 
 
-def check_coset_bundle(name: str, bundle, n_samples: int = 1000,
-                       drawn: Optional[dict] = None) -> CheckResult:
+def check_coset_bundle(name: str, bundle, drawn: Optional[dict] = None) -> CheckResult:
     """Right-inverse, H-invariance, and G-equivariance laws on random
     samples, one stream and one stack per role.  drawn, if given, keeps G's
     g and g' by id(G) for the next bundle of G; the laws only read them."""
@@ -138,18 +139,18 @@ def check_coset_bundle(name: str, bundle, n_samples: int = 1000,
 
     drawn = {} if drawn is None else drawn
     if id(G) not in drawn:
-        drawn[id(G)] = [G.random_element(stream.split(role), n_samples) for role in (0, 1)]
+        drawn[id(G)] = [G.random_element(stream.split(role), N_SAMPLES) for role in (0, 1)]
     g, g2 = drawn[id(G)]
-    h = H.random_element(stream.split(2), n_samples) if H.random_element else H.identity
+    h = H.random_element(stream.split(2), N_SAMPLES) if H.random_element else H.identity
     worst = law(g, g2, h)
-    return CheckResult(f"coset laws {name}", worst <= 1e-9, worst)
+    return CheckResult(f"coset laws {name}", worst <= AXIOM_TOL, worst)
 
 
-def check_cosets(n_samples: int = 1000) -> List[CheckResult]:
+def check_cosets() -> List[CheckResult]:
     """Each standard bundle's coset laws.  SE(d)'s two bundles share one G,
     whose g and g' are drawn once: a second draw gives the same bytes."""
     drawn: dict = {}
-    return [check_coset_bundle(name, bundle, n_samples, drawn)
+    return [check_coset_bundle(name, bundle, drawn)
             for name, bundle in standard_bundles().items()]
 
 
@@ -239,19 +240,19 @@ def _stability_cases():
     return cases
 
 
-def check_stability(n_points: int = 100, tol: float = 1e-9) -> List[CheckResult]:
+def check_stability() -> List[CheckResult]:
     """sym_gamma(k)(x) = k(x) pointwise for the identity k, which is
-    deterministic, equivariant and X-valued: one stack of n_points inputs
+    deterministic, equivariant and X-valued: one stack of N_POINTS inputs
     from split(0) and one stacked symmetrised draw from split(1) per case."""
     out = []
     for name, bundle, act, gamma, sample_x in _stability_cases():
         k = lift_deterministic(lambda x: x, act.space, act.space)
         sym = symmetrise(k, SymmetrisationSpec(bundle, act, act, gamma))
         stream = RandomStream(DEFAULT_SEED)
-        xs = sample_x(stream.split(0), n_points)
-        worst = element_distance(sym.sampler(xs, stream.split(1), n_points),
-                                 k.sampler(xs, stream, n_points))
-        out.append(CheckResult(f"stability {name}", worst <= tol, worst))
+        xs = sample_x(stream.split(0), N_POINTS)
+        worst = element_distance(sym.sampler(xs, stream.split(1), N_POINTS),
+                                 k.sampler(xs, stream, N_POINTS))
+        out.append(CheckResult(f"stability {name}", worst <= AXIOM_TOL, worst))
     return out
 
 
@@ -285,24 +286,24 @@ def check_jensen_rational() -> CheckResult:
     return CheckResult("jensen bound in exact rationals S_2", ok, 0.0 if ok else 1.0)
 
 
-def check_model_gaps(dims=(2, 3), n_pairs: int = 100,
-                     tol: float = 1e-6) -> List[CheckResult]:
-    """Coupled equivariance gap of untrained symmetrised benchmark models."""
+def check_model_gaps() -> List[CheckResult]:
+    """Coupled equivariance gap of untrained symmetrised benchmark models at
+    d = 2 and 3, at most 1e-6 on each of N_POINTS (x, Q) pairs."""
     out = []
-    for d in dims:
+    for d in (2, 3):
         for variant in ("sym_haar", "sym_recursive", "canonical_deterministic"):
             model = bench.InversionModel(variant, d, hidden=16)
             stream = RandomStream(DEFAULT_SEED + d)
             params = model.init(stream.split(0))
-            X = bench.sample_batch(d, n_pairs, stream.split(1))
-            Qs = bench._haar_batch(d, n_pairs, [stream.split(2)])[0]
+            X = bench.sample_batch(d, N_POINTS, stream.split(1))
+            Qs = bench._haar_batch(d, N_POINTS, [stream.split(2)])[0]
             try:
                 worst = float(bench.equivariance_gap(model, params, X, Qs, stream.split(3),
                                                      n_mc=4).max())
             except nn.DegenerateProjectionError:  # a near-singular gamma draw fails the row
                 worst = float("inf")
             out.append(CheckResult(
-                f"equivariance gap {variant} d={d}", worst <= tol, worst))
+                f"equivariance gap {variant} d={d}", worst <= 1e-6, worst))
     return out
 
 

@@ -45,10 +45,10 @@ def init_mlp(sizes: Sequence[int], stream: RandomStream) -> List[np.ndarray]:
     return params
 
 
-def mlp_forward(params: List[np.ndarray], x) -> Tuple[np.ndarray, dict]:
+def mlp_forward(params: List[np.ndarray], x) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Affine/tanh chain with a linear last layer on a batch x of shape
     (..., B, n); params is [W0, b0, ...], with or without leading stack axes.
-    The cache holds each layer's input."""
+    Returns (output, the list of each layer's input)."""
     h = np.asarray(x, dtype=float)
     if h.ndim < 2 or h.shape[-1] != params[0].shape[-2]:
         raise ValueError(
@@ -62,14 +62,13 @@ def mlp_forward(params: List[np.ndarray], x) -> Tuple[np.ndarray, dict]:
         h += params[2 * i + 1][..., None, :]
         if i < n_layers - 1:
             np.tanh(h, out=h)
-    return h, {"inputs": inputs}
+    return h, inputs
 
 
-def mlp_backward(params: List[np.ndarray], cache: dict, dout, input_grad: bool = True) -> tuple:
-    """Exact reverse-mode gradients of a batch forward, without stack axes;
-    returns ([dW0, db0, ...], dinput), dinput None unless input_grad."""
+def mlp_backward(params: List[np.ndarray], inputs: list, dout, input_grad: bool = True) -> tuple:
+    """Exact reverse-mode gradients of a batch forward, without stack axes,
+    from its layer inputs; returns ([dW0, db0, ...], dinput), dinput None unless input_grad."""
     dh = np.asarray(dout, dtype=float)
-    inputs = cache["inputs"]
     if dh.ndim != 2 or inputs[-1].ndim != 2:
         raise ValueError("mlp_backward takes a batch: stacked forwards have no backward")
     n_layers = len(inputs)

@@ -50,26 +50,22 @@ class RandomStream:
     many draws the parent has consumed.  Same seed + same draw sequence
     gives bit-identical output across runs.
 
-    A stream's generator is Philox(SeedSequence(entropy=seed,
-    spawn_key=path)) for the path of split tags from the root, bit for bit,
-    built on the first draw, so a stream that is only split costs no
-    generator.  SeedSequence's entropy is the seed's 32-bit words, padded to
-    four, followed by each tag's words; a stream builds that word list when
-    it is made, a child extending its parent's, and the generator hands it
-    to SeedSequence as one uint32 array, which numpy reads far faster than a
-    spawn key of Python ints.
+    A stream holds its seed, its entropy words and its generator.  The
+    generator is Philox(SeedSequence(entropy=seed, spawn_key=path)) for the
+    path of split tags from the root, bit for bit, built on the first draw,
+    so a stream that is only split costs no generator.  The entropy words
+    are the seed's 32-bit words, padded to four, then each tag's words; a
+    child extends its parent's, and SeedSequence reads them as one uint32
+    array, far faster than a spawn key of Python ints.
     """
 
-    def __init__(self, seed: int, _parent: "RandomStream" = None, _tag: int = 0):
+    def __init__(self, seed: int, _entropy: Optional[list] = None):
         seed = operator.index(seed)
         if not 0 <= seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         self.seed = seed
-        self._parent = _parent
-        self._tag = _tag
         # SeedSequence's entropy words for the seed and the split tags
-        self._entropy = ((_words(seed) + [0, 0, 0])[:4] if _parent is None
-                         else _parent._entropy + _words(_tag))
+        self._entropy = (_words(seed) + [0, 0, 0])[:4] if _entropy is None else _entropy
         self._gen = None  # the generator, built by _build on the first draw
 
     def _build(self) -> np.random.Generator:
@@ -81,7 +77,7 @@ class RandomStream:
         tag = operator.index(tag)
         if tag < 0:
             raise ValueError("split tag must be nonnegative")
-        return RandomStream(self.seed, self, tag)
+        return RandomStream(self.seed, self._entropy + _words(tag))
 
     def normal(self, shape=(), out=None) -> np.ndarray:
         """Standard normals of the given shape, written into out if given."""

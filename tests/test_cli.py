@@ -1,23 +1,38 @@
+import contextlib
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import equisym
 from equisym import checks as checks_mod
-from equisym import cli
+from equisym import cli, nn
+from equisym.bench import VARIANTS
 from equisym.checks import CheckResult
 from equisym.groups import orthogonal_group
 
 
 FAST = ["--steps", "5", "--hidden", "8", "--batch-size", "16",
         "--n-mc-eval", "2", "--n-test", "8"]
+
+# train's flags with small valid values, and the edge values any of them may take
+TRAIN_FLAGS = {"--d": ("1", "2", "3"), "--hidden": ("1", "4", "8"), "--steps": ("0", "1", "3"),
+               "--batch-size": ("1", "4", "8"), "--n-mc-eval": ("1", "3"),
+               "--n-test": ("1", "4", "8"), "--lr": ("1e-3", "1e300", "1.7e308"),
+               "--condition-cap": ("3", "1e4"), "--seed": ("0", "1", "5"), "--variant": VARIANTS}
+TRAIN_EDGES = ("0", "-1", "1", "nan", "inf", "-inf", "", " ", "2.5", "1e-320", "one")
 
 
 class TestConfigParsing:
@@ -173,10 +188,7 @@ class TestExitCodes:
     def test_failing_suite_is_1(self, monkeypatch, capsys):
         # violates associativity/unit
         broken = dataclasses.replace(orthogonal_group(2), mul=lambda g, h: g @ h + 1e-3)
-        monkeypatch.setitem(
-            checks_mod.SUITES, "groups",
-            lambda: checks_mod.check_groups({"broken O(2)": broken},
-                                            n_samples=10))
+        monkeypatch.setattr(checks_mod, "standard_groups", lambda: {"broken O(2)": broken})
         assert cli.main(["check", "groups"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL]" in out
@@ -203,13 +215,21 @@ class TestImport:
 
 
 class TestCheckCommand:
-    def test_cosets_suite_passes(self, monkeypatch, capsys):
-        monkeypatch.setitem(
-            checks_mod.SUITES, "cosets",
-            lambda: checks_mod.check_cosets(n_samples=50))
+    def test_cosets_suite_passes(self, capsys):
         assert cli.main(["check", "cosets"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 7
+
+    def test_suites_take_no_sizes_or_tolerances(self):
+        # each row's size and tolerance is a checks constant, so the
+        # acceptance tests call exactly what `check all` runs
+        for fn in (checks_mod.check_groups, checks_mod.check_cosets,
+                   checks_mod.check_stability, checks_mod.check_model_gaps,
+                   checks_mod.check_symmetrise, checks_mod.check_gradients):
+            assert list(inspect.signature(fn).parameters) == [], fn.__name__
+        assert list(inspect.signature(checks_mod.check_group_axioms).parameters) == ["G"]
+        assert list(inspect.signature(checks_mod.check_coset_bundle).parameters) == [
+            "name", "bundle", "drawn"]
 
     def test_symmetrise_suite_passes(self, capsys):
         assert cli.main(["check", "symmetrise"]) == 0
@@ -272,14 +292,11 @@ class TestTrainCommand:
         assert summary["variant"] == "sym_haar"
         assert summary["equiv_gap"] <= 1e-6
         assert summary["diverged"] is False
-        from equisym import nn
 
         params = nn.load_params(str(tmp_path / f"params_{tag}.txt"))
         assert all(np.all(np.isfinite(p)) for p in params)
 
     def test_diverged_run_is_1(self, tmp_path, monkeypatch, capsys):
-        from equisym import nn
-
         real_backward = nn.mlp_backward
 
         def inf_backward(*args, **kwargs):
@@ -349,6 +366,72 @@ class TestTrainCommand:
         assert (tmp_path / "envout" / "summary_plain_mlp_d2_seed0.json").exists()
 
 
+class TestTrainEndsCleanly:
+    """train ends in exit 0 with a finite summary, exit 1 with a diverged
+    one, or exit 2 with one error line and no output directory."""
+
+    @pytest.mark.parametrize("flags", [
+        "--variant sym_haar --d 2 --hidden 5 --steps 1 --batch-size 1 --lr 1.7e308 "
+        "--n-mc-eval 1 --seed 1 --n-test 4",
+        "--variant canonical_deterministic --d 2 --hidden 4 --steps 1 --batch-size 4 "
+        "--lr 1e300 --n-mc-eval 2 --seed 5 --n-test 4",
+    ], ids=["nonfinite-params", "nonfinite-evaluation"])
+    def test_nonfinite_run_is_diverged(self, tmp_path, flags):
+        # both printed status=ok: the last update made a parameter
+        # non-finite, or left finite parameters whose evaluation overflows; a
+        # subprocess, as numpy's overflow warnings are errors under pytest
+        src = os.path.dirname(os.path.dirname(equisym.__file__))
+        run = subprocess.run([sys.executable, "-m", "equisym.cli", "train", "--out",
+                              str(tmp_path / "run")] + flags.split(),
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 1, run.stderr
+        assert "Traceback" not in run.stderr
+        assert "status=diverged" in run.stdout
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(valid=st.fixed_dictionaries({flag: st.sampled_from(values)
+                                        for flag, values in TRAIN_FLAGS.items()}),
+           edges=st.dictionaries(st.sampled_from(list(TRAIN_FLAGS)),
+                                 st.sampled_from(TRAIN_EDGES), max_size=3),
+           config=st.none() | st.binary(max_size=40))
+    @example(valid={"--variant": "sym_haar", "--d": "2", "--hidden": "5", "--steps": "1",
+                    "--batch-size": "1", "--lr": "1.7e308", "--n-mc-eval": "1", "--seed": "1",
+                    "--n-test": "4"}, edges={}, config=None)
+    def test_train_ends_in_a_summary_or_one_error_line(self, valid, edges, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "run")
+            argv = ["train", "--out", out]
+            if config is not None:
+                with open(os.path.join(tmp, "run.cfg"), "wb") as fh:
+                    fh.write(config)
+                argv += ["--config", os.path.join(tmp, "run.cfg")]
+            for flag, value in {**valid, **edges}.items():
+                argv += [flag, value]
+            err = io.StringIO()
+            with warnings.catch_warnings(), np.errstate(all="ignore"), \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("ignore")
+                code = cli.main(argv)
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert len([line for line in err.getvalue().splitlines()
+                            if "error: " in line]) == 1, err.getvalue()
+                assert not os.path.exists(out)
+                return
+            summaries = [name for name in os.listdir(out) if name.startswith("summary_")]
+            assert len(summaries) == 1
+            tag = summaries[0][len("summary_"):-len(".json")]
+            with open(os.path.join(out, summaries[0])) as fh:
+                summary = json.load(fh)
+            with open(os.path.join(out, f"history_{tag}.csv")) as fh:
+                assert fh.readline() == "step,objective\n"
+            nn.load_params(os.path.join(out, f"params_{tag}.txt"))
+            assert summary["diverged"] == (code == 1)
+            if code == 0:
+                assert math.isfinite(summary["final_loss"]) and math.isfinite(summary["equiv_gap"])
+
+
 class TestSweepCommand:
     def test_grid_and_summary(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--variants", "plain_mlp,sym_haar",
@@ -397,8 +480,6 @@ class TestSweepCommand:
             ("plain_mlp", 2, 0, 3, 5), ("plain_mlp", 3, 0, 3, 5)]
 
     def test_failed_cells_exit_1(self, tmp_path, monkeypatch, capsys):
-        from equisym import nn
-
         real_backward = nn.mlp_backward
 
         def inf_backward(*args, **kwargs):

@@ -136,7 +136,7 @@ class TestBundleLaws:
     @pytest.mark.parametrize("name", list(standard_bundles()))
     def test_laws(self, name):
         bundle = standard_bundles()[name]
-        result = check_coset_bundle(name, bundle, n_samples=200)
+        result = check_coset_bundle(name, bundle)
         assert result.passed, result.line()
 
 

@@ -477,7 +477,7 @@ class TestSemidirect:
 class TestAxiomSuite:
     @pytest.mark.parametrize("name", list(standard_groups()))
     def test_axioms(self, name):
-        result = check_group_axioms(standard_groups()[name], n_samples=200)
+        result = check_group_axioms(standard_groups()[name])
         assert result.passed, result.line()
 
     def test_laws_draw_from_few_streams(self, monkeypatch):
@@ -507,10 +507,10 @@ class TestAxiomSuite:
                 return se.random_element(stream, n)
             return dataclasses.replace(se, random_element=random_element)
 
-        expected = [checks.check_coset_bundle(name, bundle, 50)
+        expected = [checks.check_coset_bundle(name, bundle)
                     for name, bundle in standard_bundles().items()]
         monkeypatch.setattr(checks, "special_euclidean_group", counted_se)
-        assert checks.check_cosets(n_samples=50) == expected
+        assert checks.check_cosets() == expected
         assert all(r.passed for r in expected)
         assert calls == {2: 2, 3: 2}
 

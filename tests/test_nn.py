@@ -89,7 +89,7 @@ class TestMlp:
             y, row_cache = nn.mlp_forward(p, X[i] if stacked_input else X)
             assert np.array_equal(Y[i], y)
             assert all(np.array_equal(np.broadcast_to(a, (4,) + b.shape)[i], b)
-                       for a, b in zip(cache["inputs"], row_cache["inputs"]))
+                       for a, b in zip(cache, row_cache))
 
     def test_gradients_match_finite_differences(self):
         result = check_mlp_gradients()
@@ -193,7 +193,7 @@ class TestMlp:
         grads_ref, dx_ref = reference_backward(params, inputs_ref, dout)
 
         assert np.array_equal(y, y_ref)
-        assert all(np.array_equal(a, b) for a, b in zip(cache["inputs"], inputs_ref))
+        assert all(np.array_equal(a, b) for a, b in zip(cache, inputs_ref))
         assert all(np.array_equal(a, b) for a, b in zip(grads, grads_ref))
         assert np.array_equal(dx, dx_ref)
         assert all(np.array_equal(a, b) for a, b in zip([x, dout] + params, saved))

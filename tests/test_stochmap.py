@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -425,6 +427,17 @@ class TestStreams:
         assert np.array_equal(drew.split(1).normal(6), idle.split(1).normal(6))
         # and splitting does not advance the parent
         assert np.array_equal(drew.normal(3), RandomStream(5).split(2).normal(6)[3:])
+
+    def test_child_keeps_no_ancestor_alive(self):
+        # a stream holds its entropy words, not its parent
+        root = RandomStream(1)
+        middle = root.split(0)
+        child = middle.split(2)
+        refs = [weakref.ref(root), weakref.ref(middle)]
+        del root, middle
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert np.array_equal(child.normal(8), RandomStream(1).split(0).split(2).normal(8))
 
     def test_negative_split_rejected(self):
         with pytest.raises(ValueError):
